@@ -3,8 +3,7 @@
 // headline gate scripts/run_bench_graph.sh enforces: the DAG runs the shared
 // seed-probe prefix once, the chains run it once per branch, so the DAG must
 // win by >= 1.3x), the telemetry fan-in scenario exercising tee +
-// synchronizer + merge, per-item reference-engine rows for context, and the
-// DAG engine's thread-scaling curve on the branching workload.
+// synchronizer + merge, and per-item reference-engine rows for context.
 // scripts/run_bench_graph.sh runs this suite, writes BENCH_graph.json at the
 // repo root, and prints the gate verdict.
 #include <benchmark/benchmark.h>
@@ -109,27 +108,6 @@ void BM_GraphBranchingBlast_Reference(benchmark::State& state) {
   report_input_rate(state, kInputs);
 }
 BENCHMARK(BM_GraphBranchingBlast_Reference)->Unit(benchmark::kMillisecond);
-
-/// DAG engine thread scaling on the branching workload (same-timestamp
-/// firing waves execute on a pool; results stay bit-identical).
-void BM_GraphParallel(benchmark::State& state) {
-  const GraphScenario scenario = graph::branching_blast_scenario();
-  const GraphExecutor executor(scenario.graph, scenario.stages);
-  GraphExecutorConfig config = config_for(scenario.graph);
-  config.exec_threads = static_cast<std::size_t>(state.range(0));
-  const std::vector<graph::Item> inputs = graph::scenario_inputs(kInputs);
-  for (auto _ : state) {
-    auto run = executor.run(inputs, config);
-    RIPPLE_REQUIRE(run.ok(), "parallel branching blast run must succeed");
-    benchmark::DoNotOptimize(run.value().base.sink_outputs);
-  }
-  report_input_rate(state, kInputs);
-}
-BENCHMARK(BM_GraphParallel)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Telemetry fan-in: tee x3 -> parsers -> synchronizer -> merge.

@@ -1,12 +1,10 @@
 // Google-benchmark suite for the vector-wide pipeline executor
 // (runtime/pipeline_executor.hpp): end-to-end mini-BLAST runs comparing the
 // seed per-item engine (ReferenceExecutor), the adapter path, and the typed
-// batch path; the task-parallel engine's thread-scaling curve
-// (BM_ExecutorParallel) and the counter false-sharing micro
-// (BM_MetricsContention); plus per-ISA kernel microbenchmarks for the
-// vectorized BLAST and cascade stage bodies: each micro emits one row per
-// SimdLevel (scalar, neon, avx2, avx512), skipping levels this binary/host
-// cannot run.
+// batch path; the counter false-sharing micro (BM_MetricsContention); plus
+// per-ISA kernel microbenchmarks for the vectorized BLAST and cascade stage
+// bodies: each micro emits one row per SimdLevel (scalar, neon, avx2,
+// avx512), skipping levels this binary/host cannot run.
 // scripts/run_bench_runtime.sh runs this suite, writes BENCH_runtime.json at
 // the repo root, and prints the per-ISA speedup table.
 #include <benchmark/benchmark.h>
@@ -168,33 +166,6 @@ void BM_MiniBlastEndToEnd_BatchSimd(benchmark::State& state) {
   report_window_rate(state, w.windows);
 }
 BENCHMARK(BM_MiniBlastEndToEnd_BatchSimd)->Unit(benchmark::kMillisecond);
-
-/// Task-parallel engine over the same typed mini-BLAST workload, one row per
-/// thread count. /1 is the sequential engine (the dispatch short-circuit), so
-/// the /N vs /1 ratio is the intra-shard scaling curve
-/// scripts/run_bench_runtime.sh prints and gates on. The engine object
-/// persists across iterations, so the pool is warm after the first run —
-/// exactly the shard-worker steady state.
-void BM_ExecutorParallel(benchmark::State& state) {
-  const BlastWorkload& w = BlastWorkload::instance();
-  const runtime::PipelineExecutor engine(w.spec,
-                                         blast::make_batch_stages(w.stages));
-  runtime::ExecutorConfig config = w.config;
-  config.exec_threads = static_cast<std::size_t>(state.range(0));
-  state.SetLabel("threads=" + std::to_string(config.exec_threads));
-  for (auto _ : state) {
-    auto result = engine.run_batch(w.batch_inputs, config);
-    benchmark::DoNotOptimize(result.ok());
-  }
-  report_window_rate(state, w.windows);
-}
-BENCHMARK(BM_ExecutorParallel)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 // ---------------------------------------------------------------------------
 // Counter false sharing: why sim::NodeMetrics and AdmissionLedger::Slot are

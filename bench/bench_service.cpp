@@ -351,60 +351,6 @@ void BM_ServiceDrainSharded(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceDrainSharded)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-/// The two scaling axes composed: shards × exec_threads. Same drain loop as
-/// BM_ServiceDrainSharded, but each shard's batch runs through the
-/// task-parallel executor at the given thread count — one row per point of
-/// the small cross grid, so the scaling table shows whether intra-shard
-/// parallelism stacks on top of sharding or fights it for cores on this
-/// host. exec_threads = 1 rows are the sequential-engine baselines.
-void BM_ServiceShardsTimesExecThreads(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  const auto exec_threads = static_cast<std::size_t>(state.range(1));
-  const sdf::PipelineSpec spec = make_loop_spec();
-  service::ServiceConfig config;
-  config.deadline = kLoopDeadline;
-  config.initial_tau0 = 20.0;
-  config.shards = shards;
-  config.exec_threads = exec_threads;
-  config.session_capacity = 4096;
-  service::PipelineService service(
-      spec, service::synthetic_stage_factory(spec), config);
-
-  std::vector<service::SessionId> sessions;
-  for (std::size_t i = 0; i < kActiveSessions; ++i) {
-    sessions.push_back(service.open_session());
-  }
-
-  std::uint64_t counter = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (const service::SessionId id : sessions) {
-      std::vector<runtime::Item> items;
-      items.reserve(kItemsPerActive);
-      for (std::size_t k = 0; k < kItemsPerActive; ++k) {
-        items.emplace_back(counter++);
-      }
-      service.submit(id, std::move(items));
-    }
-    state.ResumeTiming();
-    const std::size_t executed = service.drain_once();
-    benchmark::DoNotOptimize(executed);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(kActiveSessions * kItemsPerActive));
-}
-BENCHMARK(BM_ServiceShardsTimesExecThreads)
-    ->ArgNames({"shards", "exec"})
-    ->Args({1, 1})
-    ->Args({1, 2})
-    ->Args({1, 4})
-    ->Args({2, 1})
-    ->Args({2, 2})
-    ->Args({2, 4})
-    ->Args({4, 2})
-    ->UseRealTime();
-
 /// The submit fast path with coalesced wakeups: per-item cost of the
 /// admission check + backpressure reservation + MPSC push. The worker is
 /// deliberately not running — this isolates the producer-side cost the

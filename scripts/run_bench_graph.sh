@@ -4,7 +4,7 @@
 # duplicated-linear-chains workaround (one chain per extension variant, each
 # re-running the shared seed-probe prefix), per-item reference rows for both
 # measured scenarios, the telemetry fan-in scenario (tee x3 -> synchronizer
-# -> merge), and the DAG engine's thread-scaling curve.
+# -> merge).
 #
 # Prints the headline gate: duplicated-chains / DAG must be >= 1.3x — the
 # topology win from running the shared prefix once. Service-time accounting
@@ -38,7 +38,7 @@ cmake --build "${BUILD_DIR}" --target bench_graph -j"$(nproc)"
   --benchmark_out_format=json
 
 python3 - "${REPO_ROOT}/BENCH_graph.json" <<'PY'
-import json, os, sys
+import json, sys
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
@@ -57,19 +57,6 @@ fanin_ref = times.get("BM_TelemetryFanin_Reference")
 if fanin and fanin_ref:
     print(f"telemetry fan-in: per-item reference / DAG vector engine = "
           f"{fanin_ref / fanin:.2f}x")
-
-parallel = {}
-for b in doc["benchmarks"]:
-    name = b["name"]
-    if name.startswith("BM_GraphParallel/") and not b.get("error_occurred"):
-        parallel[int(name.split("/")[1])] = b["real_time"]
-if parallel and 1 in parallel:
-    base = parallel[1]
-    curve = "  ".join(f"{n}t={base / t:.2f}x"
-                      for n, t in sorted(parallel.items()))
-    cores = os.cpu_count() or 1
-    print(f"DAG engine wave scaling (vs 1 thread, {cores} host cores): "
-          f"{curve}")
 
 # Headline gate: the DAG must beat the duplicated-chain workaround by the
 # shared-prefix margin. Hard failure — CI and local runs treat a miss as a

@@ -6,10 +6,7 @@
 # this host/build cannot run are recorded as skipped in the JSON and shown as
 # '-' in the summary table, so results from different machines stay
 # comparable. Prints the end-to-end speedup of the SIMD batch path over the
-# per-item reference, the task-parallel engine's thread-scaling curve with a
-# >= 2.5x @ 4-thread bar (reported only on hosts with >= 4 cores — anything
-# measured below that is contention), and the per-kernel speedups versus
-# scalar.
+# per-item reference and the per-kernel speedups versus scalar.
 #
 # Usage: scripts/run_bench_runtime.sh [build-dir] [min-time]
 #   build-dir  defaults to ./build-bench (configured Release if missing —
@@ -52,31 +49,6 @@ if reference and simd:
 if reference and scalar:
     print(f"end-to-end mini-BLAST: reference / batch+scalar = "
           f"{reference / scalar:.2f}x")
-
-# Intra-shard thread-scaling curve: BM_ExecutorParallel/<N>/real_time rows,
-# speedup vs the /1 row (the sequential engine). The >= 2.5x @ 4 threads gate
-# only applies where 4 worker threads can actually run in parallel; on
-# smaller hosts the curve is printed for the record and the gate is skipped.
-import os
-parallel = {}
-for b in doc["benchmarks"]:
-    name = b["name"]
-    if name.startswith("BM_ExecutorParallel/") and not b.get("error_occurred"):
-        parallel[int(name.split("/")[1])] = b["real_time"]
-if parallel and 1 in parallel:
-    base = parallel[1]
-    curve = "  ".join(f"{n}t={base / t:.2f}x"
-                      for n, t in sorted(parallel.items()))
-    print(f"task-parallel executor scaling (vs 1 thread): {curve}")
-    cores = os.cpu_count() or 1
-    if 4 in parallel and cores >= 4:
-        speedup = base / parallel[4]
-        bar = "PASS" if speedup >= 2.5 else "FAIL"
-        print(f"  4-thread speedup: {speedup:.2f}x (bar: >= 2.5x, "
-              f"{cores} host cores) [{bar}]")
-    else:
-        print(f"  4-thread bar skipped: host has {cores} core(s); the curve "
-              f"above measures contention, not scaling")
 
 # Per-ISA kernel micros: rows are BM_<Kernel>/<level-arg> with the resolved
 # ISA in the label; skipped rows (ISA unavailable here) carry error_occurred.

@@ -6,9 +6,7 @@
 # vs the MPSC ring at 1/2/4/8 shards). Prints the warm-start speedup, the
 # closed-loop steady-state overhead (bar: < 2%), the drain-throughput
 # scaling curve (bar: >= 4x over the legacy single-worker drain at 8 shards),
-# the shards x exec_threads composition grid (intra-shard task-parallel
-# executor vs the sequential baseline at each shard count), and the loopback
-# TCP ingest throughput through src/net's epoll front door (bar: >= 1M
+# and the loopback TCP ingest throughput through src/net's epoll front door (bar: >= 1M
 # items/s with the controller live).
 #
 # Usage: scripts/run_bench_service.sh [build-dir] [min-time]
@@ -101,27 +99,6 @@ if any(svc.values()):
     for shards, rate in svc.items():
         if rate:
             print(f"  {shards} shard(s): {rate / 1e6:.2f} M items/s")
-
-# The two scaling axes composed: shards × intra-shard executor threads.
-# exec:1 rows are the sequential-engine baselines; whether the exec:N rows
-# stack on top of sharding depends on how many cores this host can actually
-# give shards × exec threads at once.
-import os
-grid = {}
-for b in doc["benchmarks"]:
-    name = b["name"]
-    if name.startswith("BM_ServiceShardsTimesExecThreads/"):
-        parts = dict(p.split(":") for p in name.split("/")[1:] if ":" in p)
-        rate = b.get("items_per_second")
-        if rate and "shards" in parts and "exec" in parts:
-            grid[(int(parts["shards"]), int(parts["exec"]))] = rate
-if grid:
-    print(f"shards x exec_threads composition ({os.cpu_count()} host cores):")
-    for (shards, exec_threads), rate in sorted(grid.items()):
-        base = grid.get((shards, 1))
-        note = f" ({rate / base:.2f}x vs exec:1)" if base else ""
-        print(f"  shards={shards} exec={exec_threads}: "
-              f"{rate / 1e6:.2f} M items/s{note}")
 
 submit = rates.get("BM_SubmitSteady")
 if submit:

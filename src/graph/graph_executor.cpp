@@ -5,14 +5,12 @@
 #include <exception>
 #include <limits>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "runtime/executor_internal.hpp"
 #include "runtime/soa_queue.hpp"
 #include "sim/event_queue.hpp"
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 #if RIPPLE_OBS
 #include "obs/obs.hpp"
@@ -69,7 +67,7 @@ const char* fire_span_name(NodeKind kind) {
 }
 #endif
 
-/// Graph-flavored twin of runtime::detail::validate_run_config (messages
+/// Graph-flavored twin of PipelineExecutor's run-config validation (messages
 /// name nodes, not chain positions, so linear delegation and the DAG engine
 /// report identically).
 std::optional<util::Result<ExecutionMetrics>> validate_config(
@@ -141,26 +139,11 @@ GraphExecutor::GraphExecutor(GraphSpec graph, std::vector<GraphStageFn> stages)
   }
 }
 
-GraphExecutor::~GraphExecutor() = default;
-
-util::ThreadPool& GraphExecutor::acquire_pool(std::size_t threads) const {
-  std::lock_guard<std::mutex> lock(pool_mutex_);
-  if (pool_ == nullptr || pool_->thread_count() != threads) {
-    pool_.reset();  // quiesced between runs; join before respawn
-    pool_ = std::make_unique<util::ThreadPool>(threads);
-  }
-  return *pool_;
-}
-
 util::Result<ExecutionMetrics> GraphExecutor::run(
     std::vector<Item> inputs, const GraphExecutorConfig& config) const {
   if (auto invalid = validate_config(graph_, inputs.size(), config)) {
     return *std::move(invalid);
   }
-  const std::size_t threads =
-      config.exec_threads == 0
-          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-          : config.exec_threads;
   if (linear_ != nullptr) {
     // Chain delegation: bit-identical to the existing vector engine.
     const std::size_t n = graph_.size();
@@ -175,19 +158,17 @@ util::Result<ExecutionMetrics> GraphExecutor::run(
     chain.charge_empty_firings = config.charge_empty_firings;
     chain.max_collected_results = config.max_collected_results;
     chain.max_events = config.max_events;
-    chain.exec_threads = threads;
     auto result = linear_->run(std::move(inputs), chain);
     if (!result.ok()) return result;
     ExecutionMetrics metrics = std::move(result).take();
     scatter_node_metrics(chain_order_, metrics.base);
     return metrics;
   }
-  return execute_dag(inputs, config, threads);
+  return execute_dag(inputs, config);
 }
 
 util::Result<ExecutionMetrics> GraphExecutor::execute_dag(
-    std::vector<Item>& inputs, const GraphExecutorConfig& config,
-    std::size_t threads) const {
+    std::vector<Item>& inputs, const GraphExecutorConfig& config) const {
   using R = util::Result<ExecutionMetrics>;
   const std::size_t n = graph_.size();
   const std::uint32_t v = graph_.simd_width();
@@ -282,56 +263,8 @@ util::Result<ExecutionMetrics> GraphExecutor::execute_dag(
   }
 #endif
 
-  // One wave = every FireStart sharing a timestamp. Wave members consume
-  // disjoint queues (distinct nodes never share an in-edge, and same-time
-  // fire-ends pop first on priority), so gathering sequentially in pop
-  // order, running the stage functions concurrently, and committing effects
-  // sequentially in pop order replays the sequential engine exactly — one
-  // code path for every exec_threads value.
-  struct Firing {
-    NodeIndex node = 0;
-    std::uint32_t consumed = 0;
-    bool run_stage = false;
-    std::vector<std::vector<Item>> windows;  ///< one per in-queue
-    std::exception_ptr error;
-  };
-  std::vector<Firing> wave;
-  std::size_t wave_count = 0;
-
-  const auto execute_firing = [&](Firing& firing) {
-    if (!firing.run_stage) return;
-    const NodeIndex u = firing.node;
-    const GraphStageFn& fn = stages_[u];
-    const NodeKind kind = graph_.node(u).kind;
-    std::vector<BatchEmitter>& emitters = in_flight[u];
-    const std::size_t fan_in = firing.windows.size();
-    std::vector<Item> scratch;
-    try {
-      for (std::uint32_t k = 0; k < firing.consumed; ++k) {
-        std::vector<Item> lane_inputs;
-        lane_inputs.reserve(fan_in);
-        for (std::size_t q = 0; q < fan_in; ++q) {
-          lane_inputs.push_back(std::move(firing.windows[q][k]));
-        }
-        scratch.clear();
-        fn(std::move(lane_inputs), scratch);
-        if (kind == NodeKind::kSimoTee) {
-          const std::size_t slots = emitters.size();
-          for (std::size_t s = 0; s < slots; ++s) {
-            for (Item& out : scratch) {
-              emitters[s].emit_item(k,
-                                    s + 1 < slots ? Item(out) : std::move(out));
-            }
-          }
-        } else {
-          for (Item& out : scratch) emitters[0].emit_item(k, std::move(out));
-        }
-      }
-    } catch (...) {
-      firing.error = std::current_exception();
-    }
-  };
-
+  std::vector<std::vector<Item>> windows;  // one dense window per in-queue
+  std::vector<Item> scratch;               // one lane's stage outputs
   std::uint64_t processed = 0;
   while (!events.empty() && processed < config.max_events) {
     const auto event = events.pop();
@@ -394,165 +327,137 @@ util::Result<ExecutionMetrics> GraphExecutor::execute_dag(
     }
 
     // ------------------------------------------------------------ FireStart
-    // Gather phase: absorb every same-timestamp FireStart into the wave,
-    // window the consumed lanes, and arm the emitters — in pop order.
-    wave_count = 0;
-    NodeIndex wave_node = event.payload.node;
-    while (true) {
-      Firing& firing =
-          wave_count < wave.size() ? wave[wave_count] : wave.emplace_back();
-      ++wave_count;
-      const NodeIndex u = wave_node;
-      firing.node = u;
-      firing.run_stage = false;
-      firing.error = nullptr;
-
-      sim::NodeMetrics& node = metrics.base.nodes[u];
-      const std::vector<std::size_t>& node_inputs = in_queues[u];
-      std::uint64_t deepest = 0;
-      std::uint64_t matched = std::numeric_limits<std::uint64_t>::max();
-      for (const std::size_t q : node_inputs) {
-        deepest = std::max<std::uint64_t>(deepest, queues[q].size());
-        matched = std::min<std::uint64_t>(matched, queues[q].size());
-      }
-      const NodeKind kind = graph_.node(u).kind;
-      const bool elementwise = kind == NodeKind::kMisoElementwise ||
-                               kind == NodeKind::kMimoSynchronizer;
-      const std::uint32_t consumed = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(elementwise ? matched : deepest, v));
-      firing.consumed = consumed;
+    const NodeIndex u = event.payload.node;
+    sim::NodeMetrics& node = metrics.base.nodes[u];
+    const std::vector<std::size_t>& node_inputs = in_queues[u];
+    std::uint64_t deepest = 0;
+    std::uint64_t matched = std::numeric_limits<std::uint64_t>::max();
+    for (const std::size_t q : node_inputs) {
+      deepest = std::max<std::uint64_t>(deepest, queues[q].size());
+      matched = std::min<std::uint64_t>(matched, queues[q].size());
+    }
+    const NodeKind kind = graph_.node(u).kind;
+    const bool elementwise = kind == NodeKind::kMisoElementwise ||
+                             kind == NodeKind::kMimoSynchronizer;
+    const std::uint32_t consumed = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(elementwise ? matched : deepest, v));
 
 #if RIPPLE_OBS
-      if (trace.active()) {
-        for (const std::size_t q : node_inputs) {
-          const std::uint32_t track = q == arrival_queue
-                                          ? static_cast<std::uint32_t>(u)
-                                          : static_cast<std::uint32_t>(n + q);
-          trace.counter(obs::Domain::kSim, track, "graph.queue_depth", now,
-                        static_cast<double>(queues[q].size()));
-        }
-        if (consumed > 0) {
-          trace.begin(obs::Domain::kSim, static_cast<std::uint32_t>(u),
-                      fire_span_name(kind), now);
-        } else if (config.charge_empty_firings) {
-          trace.instant(obs::Domain::kSim, static_cast<std::uint32_t>(u),
-                        "empty_firing", now, service_time[u]);
-        }
+    if (trace.active()) {
+      for (const std::size_t q : node_inputs) {
+        const std::uint32_t track = q == arrival_queue
+                                        ? static_cast<std::uint32_t>(u)
+                                        : static_cast<std::uint32_t>(n + q);
+        trace.counter(obs::Domain::kSim, track, "graph.queue_depth", now,
+                      static_cast<double>(queues[q].size()));
       }
+      if (consumed > 0) {
+        trace.begin(obs::Domain::kSim, static_cast<std::uint32_t>(u),
+                    fire_span_name(kind), now);
+      } else if (config.charge_empty_firings) {
+        trace.instant(obs::Domain::kSim, static_cast<std::uint32_t>(u),
+                      "empty_firing", now, service_time[u]);
+      }
+    }
 #endif
 
-      if (consumed > 0 || config.charge_empty_firings) {
-        ++node.firings;
-        if (consumed == 0) ++node.empty_firings;
-        node.active_time += service_time[u];
-      }
+    if (consumed > 0 || config.charge_empty_firings) {
+      ++node.firings;
+      if (consumed == 0) ++node.empty_firings;
+      node.active_time += service_time[u];
+    }
 
-      if (consumed > 0) {
-        if (kind == NodeKind::kMimoSynchronizer) {
-          // Pure forwarding: stream j's items move straight into out-slot j.
-          for (std::size_t j = 0; j < node_inputs.size(); ++j) {
-            SoaQueue& queue = queues[node_inputs[j]];
-            BatchEmitter& emitter = in_flight[u][j];
-            emitter.reset(consumed, 0, /*carries_items=*/true);
-            std::vector<RootId>& roots = in_flight_roots[u][j];
-            roots.resize(consumed);
-            for (std::uint32_t k = 0; k < consumed; ++k) {
-              emitter.emit_item(k, std::move(queue.item_at(k)));
-              roots[k] = queue.root_at(k);
-            }
-            queue.discard_front(consumed);
-          }
-        } else {
-          firing.run_stage = true;
-          firing.windows.resize(node_inputs.size());
-          for (std::size_t j = 0; j < node_inputs.size(); ++j) {
-            SoaQueue& queue = queues[node_inputs[j]];
-            std::vector<Item>& window = firing.windows[j];
-            window.resize(consumed);
-            for (std::uint32_t k = 0; k < consumed; ++k) {
-              window[k] = std::move(queue.item_at(k));
-            }
-          }
-          // Roots follow the first in-queue (merge tuples re-join tee'd
-          // copies of the same root); tee replicates them to every slot.
-          const std::size_t slots = in_flight[u].size();
-          std::vector<RootId>& roots0 = in_flight_roots[u][0];
-          roots0.resize(consumed);
+    if (consumed > 0) {
+      std::vector<BatchEmitter>& emitters = in_flight[u];
+      if (kind == NodeKind::kMimoSynchronizer) {
+        // Pure forwarding: stream j's items move straight into out-slot j.
+        for (std::size_t j = 0; j < node_inputs.size(); ++j) {
+          SoaQueue& queue = queues[node_inputs[j]];
+          BatchEmitter& emitter = emitters[j];
+          emitter.reset(consumed, 0, /*carries_items=*/true);
+          std::vector<RootId>& roots = in_flight_roots[u][j];
+          roots.resize(consumed);
           for (std::uint32_t k = 0; k < consumed; ++k) {
-            roots0[k] = queues[node_inputs[0]].root_at(k);
+            emitter.emit_item(k, std::move(queue.item_at(k)));
+            roots[k] = queue.root_at(k);
           }
-          for (std::size_t s = 0; s < slots; ++s) {
-            in_flight[u][s].reset(consumed, 0, /*carries_items=*/true);
-            if (s > 0) in_flight_roots[u][s] = roots0;
+          queue.discard_front(consumed);
+        }
+      } else {
+        // Window the consumed lanes of every in-queue. Roots follow the
+        // first in-queue (merge tuples re-join tee'd copies of the same
+        // root); tee replicates them to every out-slot.
+        const std::size_t fan_in = node_inputs.size();
+        windows.resize(fan_in);
+        for (std::size_t j = 0; j < fan_in; ++j) {
+          SoaQueue& queue = queues[node_inputs[j]];
+          std::vector<Item>& window = windows[j];
+          window.resize(consumed);
+          for (std::uint32_t k = 0; k < consumed; ++k) {
+            window[k] = std::move(queue.item_at(k));
           }
-          for (const std::size_t q : node_inputs) {
-            queues[q].discard_front(consumed);
+        }
+        const std::size_t slots = emitters.size();
+        std::vector<RootId>& roots0 = in_flight_roots[u][0];
+        roots0.resize(consumed);
+        for (std::uint32_t k = 0; k < consumed; ++k) {
+          roots0[k] = queues[node_inputs[0]].root_at(k);
+        }
+        for (std::size_t s = 0; s < slots; ++s) {
+          emitters[s].reset(consumed, 0, /*carries_items=*/true);
+          if (s > 0) in_flight_roots[u][s] = roots0;
+        }
+        for (const std::size_t q : node_inputs) {
+          queues[q].discard_front(consumed);
+        }
+
+        const GraphStageFn& fn = stages_[u];
+        try {
+          for (std::uint32_t k = 0; k < consumed; ++k) {
+            std::vector<Item> lane_inputs;
+            lane_inputs.reserve(fan_in);
+            for (std::size_t j = 0; j < fan_in; ++j) {
+              lane_inputs.push_back(std::move(windows[j][k]));
+            }
+            scratch.clear();
+            fn(std::move(lane_inputs), scratch);
+            if (kind == NodeKind::kSimoTee) {
+              for (std::size_t s = 0; s < slots; ++s) {
+                for (Item& out : scratch) {
+                  emitters[s].emit_item(
+                      k, s + 1 < slots ? Item(out) : std::move(out));
+                }
+              }
+            } else {
+              for (Item& out : scratch) {
+                emitters[0].emit_item(k, std::move(out));
+              }
+            }
           }
+        } catch (const std::exception& e) {
+          return R::failure("stage_exception", "stage '" + graph_.node(u).name +
+                                                   "' threw: " + e.what());
+        } catch (...) {
+          return R::failure("stage_exception",
+                            "stage '" + graph_.node(u).name + "' threw");
         }
       }
 
-      if (events.empty() || processed >= config.max_events ||
-          events.top().time != now ||
-          events.top().payload.kind != EventPayload::Kind::kFireStart) {
-        break;
-      }
-      const auto next = events.pop();
-      ++processed;
-      wave_node = next.payload.node;
+      const std::uint64_t consumed_total =
+          static_cast<std::uint64_t>(consumed) *
+          (elementwise ? node_inputs.size() : 1);
+      std::uint64_t produced = 0;
+      for (const BatchEmitter& emitter : emitters) produced += emitter.total();
+      node.items_consumed += consumed_total;
+      node.items_produced += produced;
+      live_items += produced;
+      live_items -= consumed_total;
+      events.push(now + service_time[u], kPriorityFireEnd,
+                  {EventPayload::Kind::kFireEnd, u});
     }
-
-    // Execute phase: stage functions only touch their own windows/emitters.
-    std::size_t stage_members = 0;
-    for (std::size_t i = 0; i < wave_count; ++i) {
-      if (wave[i].run_stage) ++stage_members;
-    }
-    if (threads > 1 && stage_members > 1) {
-      acquire_pool(threads).parallel_for(
-          wave_count, [&](std::size_t i) { execute_firing(wave[i]); });
-    } else {
-      for (std::size_t i = 0; i < wave_count; ++i) execute_firing(wave[i]);
-    }
-
-    // Commit phase, in pop order.
-    for (std::size_t i = 0; i < wave_count; ++i) {
-      Firing& firing = wave[i];
-      const NodeIndex u = firing.node;
-      if (firing.consumed > 0) {
-        if (firing.error) {
-          try {
-            std::rethrow_exception(firing.error);
-          } catch (const std::exception& e) {
-            return R::failure("stage_exception", "stage '" +
-                                                     graph_.node(u).name +
-                                                     "' threw: " + e.what());
-          } catch (...) {
-            return R::failure(
-                "stage_exception",
-                "stage '" + graph_.node(u).name + "' threw");
-          }
-        }
-        sim::NodeMetrics& node = metrics.base.nodes[u];
-        const NodeKind kind = graph_.node(u).kind;
-        const bool elementwise = kind == NodeKind::kMisoElementwise ||
-                                 kind == NodeKind::kMimoSynchronizer;
-        const std::uint64_t consumed_total =
-            static_cast<std::uint64_t>(firing.consumed) *
-            (elementwise ? in_queues[u].size() : 1);
-        std::uint64_t produced = 0;
-        for (const BatchEmitter& emitter : in_flight[u]) {
-          produced += emitter.total();
-        }
-        node.items_consumed += consumed_total;
-        node.items_produced += produced;
-        live_items += produced;
-        live_items -= consumed_total;
-        events.push(now + service_time[u], kPriorityFireEnd,
-                    {EventPayload::Kind::kFireEnd, u});
-      }
-      if (!(arrivals_done && live_items == 0)) {
-        events.push(now + config.firing_intervals[u], kPriorityFireStart,
-                    {EventPayload::Kind::kFireStart, u});
-      }
+    if (!(arrivals_done && live_items == 0)) {
+      events.push(now + config.firing_intervals[u], kPriorityFireStart,
+                  {EventPayload::Kind::kFireStart, u});
     }
   }
   if (processed >= config.max_events) {

@@ -25,15 +25,15 @@
 // A linear graph delegates wholesale to PipelineExecutor on the lowered
 // PipelineSpec (stages wrapped through the per-item adapter), so results,
 // metrics, and exported traces on chains are bit-identical to the existing
-// engine — including its task-parallel exec_threads >= 2 mode.
+// engine.
 //
-// Branching graphs run the DAG-native engine. With exec_threads >= 2 it
-// executes each virtual-time *wave* (the set of same-timestamp firings,
-// which by construction consume disjoint queues) concurrently: input
-// windows are gathered sequentially in event-pop order, stage functions run
-// on the pool, and effects commit sequentially in pop order — so results,
-// metrics, and traces are bit-identical across every exec_threads value.
-// Stage functions must be safe to invoke concurrently with each other.
+// Branching graphs run the DAG-native engine: one sequential event loop on
+// the calling thread, like the chain engine. Each FireStart windows its
+// node's consumed lanes out of the in-edge queues into one reused scratch,
+// runs the stage lane by lane, and commits counts and follow-up events
+// before the next event pops. Same-timestamp firings consume disjoint
+// queues and every event a firing pushes lies strictly after `now`, so the
+// pop order — (time, priority, sequence) — is the firing order.
 //
 // run_reference() is the seed-style per-item oracle: one std::deque of
 // (item, root) per edge, the same event cadence, scalar stage calls. The
@@ -47,17 +47,12 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "graph/graph_spec.hpp"
 #include "runtime/pipeline_executor.hpp"
 #include "util/result.hpp"
 #include "util/types.hpp"
-
-namespace ripple::util {
-class ThreadPool;
-}
 
 namespace ripple::graph {
 
@@ -80,9 +75,6 @@ struct GraphExecutorConfig {
   bool charge_empty_firings = true;
   std::size_t max_collected_results = 1024;
   std::uint64_t max_events = 500'000'000;
-  /// 1 runs on the calling thread; N >= 2 runs same-timestamp firing waves
-  /// on a pool (bit-identical output); 0 selects hardware_concurrency.
-  std::size_t exec_threads = 1;
 };
 
 class GraphExecutor {
@@ -91,7 +83,6 @@ class GraphExecutor {
   /// std::logic_error when the stage count or per-kind callability rules are
   /// violated.
   GraphExecutor(GraphSpec graph, std::vector<GraphStageFn> stages);
-  ~GraphExecutor();
 
   GraphExecutor(const GraphExecutor&) = delete;
   GraphExecutor& operator=(const GraphExecutor&) = delete;
@@ -115,9 +106,7 @@ class GraphExecutor {
 
  private:
   util::Result<runtime::ExecutionMetrics> execute_dag(
-      std::vector<Item>& inputs, const GraphExecutorConfig& config,
-      std::size_t threads) const;
-  util::ThreadPool& acquire_pool(std::size_t threads) const;
+      std::vector<Item>& inputs, const GraphExecutorConfig& config) const;
 
   GraphSpec graph_;
   std::vector<GraphStageFn> stages_;
@@ -126,9 +115,6 @@ class GraphExecutor {
   // chain executor over the lowered pipeline.
   std::vector<NodeIndex> chain_order_;
   std::unique_ptr<runtime::PipelineExecutor> linear_;
-
-  mutable std::mutex pool_mutex_;
-  mutable std::unique_ptr<util::ThreadPool> pool_;
 };
 
 }  // namespace ripple::graph

@@ -28,10 +28,6 @@ inline constexpr std::string_view kSpanNames[] = {
     "control.replan", // controller: one enforced-waits re-solve (host)
     "journal.commit", // arrival journal: one group-commit write (host)
     "journal.snapshot", // arrival journal: one controller snapshot (host)
-    "runtime.wave",   // parallel executor: one shadow-planner dispatch batch
-                      // (host; emitted only with trace_workers)
-    "runtime.task",   // worker pool: one stage-firing task execution (host;
-                      // on the per-worker "runtime.worker<k>" track)
     "graph.fire",     // graph sim/executor: one SISO-node firing (sim domain)
     "graph.tee",      // graph sim/executor: one tee-node firing (sim domain)
     "graph.merge",    // graph sim/executor: one elementwise-merge firing
@@ -53,8 +49,8 @@ inline constexpr std::string_view kCounterNames[] = {
     "queue_depth",        // sim/runtime: node input-queue depth at firing
     "block_items",        // monolithic sim: items per block
     "control.tau0_est",   // controller: EWMA inter-arrival estimate
-    "runtime.steal",      // parallel executor: cumulative cross-worker deque
-                          // steals (host; emitted only with trace_workers)
+    "service.failed_batches",  // service worker: the shard's cumulative
+                               // failed executor batches (host)
     "graph.queue_depth",  // graph sim/executor: per-in-edge queue depth at
                           // firing (edge track id = node count + edge index;
                           // the source's arrival queue reports on its node

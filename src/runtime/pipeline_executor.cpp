@@ -1,12 +1,13 @@
 #include "runtime/pipeline_executor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <exception>
-#include <thread>
+#include <optional>
+#include <string>
 
 #include "runtime/executor_internal.hpp"
 #include "runtime/soa_queue.hpp"
-#include "runtime/stage_scheduler.hpp"
 #include "sim/event_queue.hpp"
 #include "util/assert.hpp"
 
@@ -16,12 +17,52 @@
 
 namespace ripple::runtime {
 
-using detail::default_materialize;
 using detail::EventPayload;
 using detail::kPriorityFireEnd;
 using detail::kPriorityFireStart;
 
 namespace {
+
+Item default_materialize(const std::uint32_t* fields) {
+  std::array<std::uint32_t, kMaxLaneFields> tuple{};
+  for (std::size_t f = 0; f < kMaxLaneFields; ++f) tuple[f] = fields[f];
+  return Item(tuple);
+}
+
+/// Run-config validation. Returns the failure to propagate, or nullopt when
+/// the configuration is runnable.
+std::optional<util::Result<ExecutionMetrics>> validate_run_config(
+    const sdf::PipelineSpec& pipeline, std::size_t input_count,
+    const ExecutorConfig& config) {
+  using R = util::Result<ExecutionMetrics>;
+  const std::size_t n = pipeline.size();
+  if (config.firing_intervals.size() != n) {
+    return R::failure("bad_config", "one firing interval per node required");
+  }
+  for (NodeIndex i = 0; i < n; ++i) {
+    if (config.firing_intervals[i] < pipeline.service_time(i) - 1e-9) {
+      return R::failure("bad_config",
+                        "firing interval below service time at node " +
+                            std::to_string(i));
+    }
+  }
+  if (input_count == 0) {
+    return R::failure("bad_config", "need at least one input");
+  }
+  if (!config.input_gaps.empty()) {
+    if (config.input_gaps.size() != input_count) {
+      return R::failure("bad_config", "one arrival gap per input required");
+    }
+    for (Cycles gap : config.input_gaps) {
+      if (!(gap > 0.0)) {
+        return R::failure("bad_config", "arrival gaps must be positive");
+      }
+    }
+  } else if (!(config.input_gap > 0.0)) {
+    return R::failure("bad_config", "input gap must be positive");
+  }
+  return std::nullopt;
+}
 
 void validate_stages(const sdf::PipelineSpec& pipeline,
                      const std::vector<BatchStage>& stages) {
@@ -80,17 +121,6 @@ PipelineExecutor::PipelineExecutor(sdf::PipelineSpec spec,
   validate_stages(pipeline_, stages_);
 }
 
-PipelineExecutor::~PipelineExecutor() = default;
-
-StageScheduler& PipelineExecutor::acquire_scheduler(std::size_t workers) const {
-  std::lock_guard<std::mutex> lock(scheduler_mutex_);
-  if (scheduler_ == nullptr || scheduler_->worker_count() != workers) {
-    scheduler_.reset();  // quiesced between runs; join before respawn
-    scheduler_ = std::make_unique<StageScheduler>(workers);
-  }
-  return *scheduler_;
-}
-
 util::Result<ExecutionMetrics> PipelineExecutor::run(
     std::vector<Item> inputs, const ExecutorConfig& config) const {
   RIPPLE_REQUIRE(stages_.front().carries_items,
@@ -112,15 +142,8 @@ util::Result<ExecutionMetrics> PipelineExecutor::execute(
   const std::size_t n = pipeline_.size();
   const std::size_t input_count =
       typed_inputs != nullptr ? typed_inputs->size() : item_inputs->size();
-  if (auto invalid = detail::validate_run_config(pipeline_, input_count, config)) {
+  if (auto invalid = validate_run_config(pipeline_, input_count, config)) {
     return *std::move(invalid);
-  }
-  const std::size_t threads =
-      config.exec_threads == 0
-          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-          : config.exec_threads;
-  if (threads > 1) {
-    return execute_parallel(typed_inputs, item_inputs, config, threads);
   }
   const bool per_input_gaps = !config.input_gaps.empty();
 

@@ -29,8 +29,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "runtime/lane_batch.hpp"
@@ -67,20 +65,6 @@ struct ExecutorConfig {
   /// Keep up to this many sink results in ExecutionMetrics::results.
   std::size_t max_collected_results = 1024;
   std::uint64_t max_events = 500'000'000;
-  /// Execution threads for this run. 1 (the default) runs the sequential
-  /// engine on the calling thread; N >= 2 runs the task-parallel engine —
-  /// the calling thread becomes the committer (replaying the sequential
-  /// event loop and committing results, metrics, and trace spans in
-  /// virtual-time order) and N-1 pool workers execute stage firings whose
-  /// input windows are already determined (DESIGN.md §16). Results, metrics,
-  /// and exported traces are bit-identical across every value. 0 selects
-  /// hardware_concurrency.
-  std::size_t exec_threads = 1;
-  /// Emit per-worker host-domain instrumentation from the parallel engine
-  /// ("runtime.task" spans, "runtime.steal" counters, "runtime.wave" plan
-  /// batches). Off by default so exported traces stay byte-identical to the
-  /// sequential engine's.
-  bool trace_workers = false;
 };
 
 struct ExecutionMetrics {
@@ -104,8 +88,6 @@ class BatchInputs {
   std::array<std::vector<std::uint32_t>, kMaxLaneFields> cols_;
 };
 
-class StageScheduler;
-
 class PipelineExecutor {
  public:
   /// Classic interface: one StageFn per pipeline node, each adapted to the
@@ -117,7 +99,6 @@ class PipelineExecutor {
   /// input_fields; item-carrying stages only neighbor item-carrying ones).
   /// Throws std::logic_error on arity or representation mismatch.
   PipelineExecutor(sdf::PipelineSpec spec, std::vector<BatchStage> stages);
-  ~PipelineExecutor();
 
   PipelineExecutor(const PipelineExecutor&) = delete;
   PipelineExecutor& operator=(const PipelineExecutor&) = delete;
@@ -144,20 +125,9 @@ class PipelineExecutor {
   util::Result<ExecutionMetrics> execute(const BatchInputs* typed_inputs,
                                          std::vector<Item>* item_inputs,
                                          const ExecutorConfig& config) const;
-  /// Task-parallel engine (pipeline_executor_parallel.cpp); entered when
-  /// the resolved exec_threads is >= 2.
-  util::Result<ExecutionMetrics> execute_parallel(
-      const BatchInputs* typed_inputs, std::vector<Item>* item_inputs,
-      const ExecutorConfig& config, std::size_t threads) const;
-  /// Lazily build (or resize) the persistent worker pool for `workers` pool
-  /// threads. The pool outlives individual runs: service batches are small
-  /// and thread spawn would dominate them.
-  StageScheduler& acquire_scheduler(std::size_t workers) const;
 
   sdf::PipelineSpec pipeline_;
   std::vector<BatchStage> stages_;
-  mutable std::mutex scheduler_mutex_;
-  mutable std::unique_ptr<StageScheduler> scheduler_;
 };
 
 }  // namespace ripple::runtime

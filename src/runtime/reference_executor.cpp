@@ -59,12 +59,26 @@ util::Result<ExecutionMetrics> ReferenceExecutor::run(
                             std::to_string(i));
     }
   }
-  if (!(config.input_gap > 0.0)) {
-    return R::failure("bad_config", "input gap must be positive");
-  }
   if (inputs.empty()) {
     return R::failure("bad_config", "need at least one input");
   }
+  const bool per_input_gaps = !config.input_gaps.empty();
+  if (per_input_gaps) {
+    if (config.input_gaps.size() != inputs.size()) {
+      return R::failure("bad_config", "one arrival gap per input required");
+    }
+    for (Cycles gap : config.input_gaps) {
+      if (!(gap > 0.0)) {
+        return R::failure("bad_config", "arrival gaps must be positive");
+      }
+    }
+  } else if (!(config.input_gap > 0.0)) {
+    return R::failure("bad_config", "input gap must be positive");
+  }
+  // Gap before arrival k (the first is measured from t = 0).
+  const auto gap_before = [&](std::size_t k) {
+    return per_input_gaps ? config.input_gaps[k] : config.input_gap;
+  };
 
   const std::uint32_t v = pipeline_.simd_width();
 
@@ -82,9 +96,10 @@ util::Result<ExecutionMetrics> ReferenceExecutor::run(
   std::uint64_t live_items = 0;
   std::size_t next_input = 0;
   bool arrivals_done = false;
+  Cycles last_arrival = 0.0;
 
   sim::EventQueue<EventPayload> events;
-  events.push(config.input_gap, kPriorityArrival,
+  events.push(gap_before(0), kPriorityArrival,
               {EventPayload::Kind::kArrival, 0});
   for (NodeIndex i = 0; i < n; ++i) {
     events.push(0.0, kPriorityFireStart, {EventPayload::Kind::kFireStart, i});
@@ -113,6 +128,7 @@ util::Result<ExecutionMetrics> ReferenceExecutor::run(
       case EventPayload::Kind::kArrival: {
         const RootId root = static_cast<RootId>(next_input);
         root_arrival[root] = now;
+        last_arrival = now;
         ++metrics.base.inputs_arrived;
         queues[0].push_back(QueuedItem{root, std::move(inputs[next_input])});
         ++live_items;
@@ -121,7 +137,7 @@ util::Result<ExecutionMetrics> ReferenceExecutor::run(
             std::max<std::uint64_t>(metrics.base.nodes[0].max_queue_length,
                                     queues[0].size());
         if (next_input < inputs.size()) {
-          events.push(now + config.input_gap, kPriorityArrival,
+          events.push(now + gap_before(next_input), kPriorityArrival,
                       {EventPayload::Kind::kArrival, 0});
         } else {
           arrivals_done = true;
@@ -236,8 +252,12 @@ util::Result<ExecutionMetrics> ReferenceExecutor::run(
   metrics.base.inputs_on_time =
       metrics.base.inputs_arrived - metrics.base.inputs_missed;
   if (metrics.base.makespan <= 0.0 && metrics.base.inputs_arrived > 0) {
+    // No sink output ever left (everything filtered): fall back to the
+    // arrival clock, exactly as PipelineExecutor does.
     metrics.base.makespan =
-        config.input_gap * static_cast<double>(metrics.base.inputs_arrived);
+        per_input_gaps ? last_arrival
+                       : config.input_gap *
+                             static_cast<double>(metrics.base.inputs_arrived);
   }
   return metrics;
 }

@@ -12,9 +12,10 @@
 //      SIMD engines' end-to-end speedup against this engine (the
 //      BENCH_runtime.json "scalar" series).
 //
-// Semantics (virtual time, deadline accounting, failure codes) match
-// PipelineExecutor::run exactly; see pipeline_executor.hpp. Do not extend
-// this engine — new capability goes into the vector engine.
+// Semantics (virtual time, fixed or per-input arrival gaps, deadline
+// accounting, failure codes) match PipelineExecutor::run exactly; see
+// pipeline_executor.hpp. Do not extend this engine — new capability goes
+// into the vector engine.
 #pragma once
 
 #include <vector>

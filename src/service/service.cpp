@@ -43,9 +43,8 @@ void validate_config(const ServiceConfig& config) {
   RIPPLE_REQUIRE(config.cycles_per_us > 0.0, "cycles_per_us must be positive");
   RIPPLE_REQUIRE(config.shard_queue_capacity > 0,
                  "shard queue capacity must be positive");
-  RIPPLE_REQUIRE(config.exec_threads <= 256,
-                 "exec_threads must be at most 256 (0 = hardware "
-                 "concurrency)");
+  RIPPLE_REQUIRE(config.exec_threads == 1,
+                 "exec_threads must be 1 (each shard executes sequentially)");
 }
 
 }  // namespace
@@ -261,21 +260,10 @@ void PipelineService::stop() {
 void PipelineService::worker_loop(Shard& shard) {
 #ifdef __linux__
   if (config_.pin_workers) {
-    // With a parallel executor, give each shard a disjoint group of
-    // exec_threads cores and pin the whole worker (committer + pool threads,
-    // which inherit this affinity mask when the executor spawns them) to the
-    // group; exec_threads <= 1 degenerates to the classic one-core-per-shard
-    // pinning.
     const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-    const unsigned group =
-        static_cast<unsigned>(std::max<std::size_t>(
-            1, std::min<std::size_t>(config_.exec_threads, cores)));
     cpu_set_t set;
     CPU_ZERO(&set);
-    const unsigned base = static_cast<unsigned>(shard.index) * group;
-    for (unsigned k = 0; k < group; ++k) {
-      CPU_SET(static_cast<int>((base + k) % cores), &set);
-    }
+    CPU_SET(static_cast<int>(shard.index % cores), &set);
     pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
   }
 #endif
@@ -462,7 +450,6 @@ void PipelineService::execute_batch(Shard& shard,
   config.firing_intervals = plan->schedule.firing_intervals;
   config.deadline = config_.deadline;
   config.max_collected_results = 0;
-  config.exec_threads = config_.exec_threads;
   config.input_gaps.reserve(batch.size());
   Cycles previous = batch.front().arrival;
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -493,7 +480,25 @@ void PipelineService::execute_batch(Shard& shard,
 
   shard.batches.fetch_add(1, std::memory_order_relaxed);
   shard.executed_items.fetch_add(batch.size(), std::memory_order_relaxed);
-  if (!result.ok()) return;  // stage threw or event budget: items are spent
+  if (!result.ok()) {
+    // A stage threw or the event budget ran out: the items are spent. Count
+    // them so the loss is visible, then keep serving.
+    shard.failed_batches.fetch_add(1, std::memory_order_relaxed);
+    shard.failed_items.fetch_add(batch.size(), std::memory_order_relaxed);
+#if RIPPLE_OBS
+    if (obs::enabled()) {
+      obs::Registry::global().counter("service.failed_batches")->add(1);
+    }
+    if (trace.active()) {
+      trace.counter(obs::Domain::kHost, trace.track(),
+                    "service.failed_batches",
+                    obs::TraceSession::global().host_now_us(),
+                    static_cast<double>(shard.failed_batches.load(
+                        std::memory_order_relaxed)));
+    }
+#endif
+    return;
+  }
   const sim::TrialMetrics& metrics = result.value().base;
   sink_outputs_.fetch_add(metrics.sink_outputs, std::memory_order_relaxed);
   deadline_misses_.fetch_add(metrics.inputs_missed, std::memory_order_relaxed);
@@ -563,6 +568,9 @@ ServiceStats PipelineService::stats() const {
     stats.batches += shard->batches.load(std::memory_order_relaxed);
     stats.executed_items +=
         shard->executed_items.load(std::memory_order_relaxed);
+    stats.failed_batches +=
+        shard->failed_batches.load(std::memory_order_relaxed);
+    stats.failed_items += shard->failed_items.load(std::memory_order_relaxed);
     stats.open_sessions += shard->open_count.load(std::memory_order_relaxed);
   }
   stats.plan_epoch = shards_.front()->controller.epoch();
@@ -577,6 +585,8 @@ ShardStats PipelineService::shard_stats(std::size_t shard) const {
   stats.open_sessions = s.open_count.load(std::memory_order_relaxed);
   stats.batches = s.batches.load(std::memory_order_relaxed);
   stats.executed_items = s.executed_items.load(std::memory_order_relaxed);
+  stats.failed_batches = s.failed_batches.load(std::memory_order_relaxed);
+  stats.failed_items = s.failed_items.load(std::memory_order_relaxed);
   stats.plan_epoch = s.controller.epoch();
   stats.queue_depth = s.last_drain_depth.load(std::memory_order_relaxed);
   const control::ShardLoad load = ledger_.load(shard);
@@ -609,19 +619,16 @@ std::vector<runtime::StageFn> synthetic_stages(const sdf::PipelineSpec& spec) {
       });
       continue;
     }
-    // Fixed-point (32.32) atomic gain accumulator. The task-parallel engine
-    // runs firings of the same stage concurrently, so a plain double here
-    // races (lost read-modify-writes would change the emitted total). A
-    // fetch_add keeps the total exact and interleaving-independent: after n
-    // calls exactly floor(n * gain) items have been emitted, and integer
-    // gains still emit the same count on every call.
+    // Fixed-point (32.32) gain accumulator: after n calls exactly
+    // floor(n * gain) items have been emitted, and integer gains emit the
+    // same count on every call.
     const auto gain_fp = static_cast<std::uint64_t>(
         spec.mean_gain(i) * 4294967296.0);
-    auto accumulator = std::make_shared<std::atomic<std::uint64_t>>(0);
+    auto accumulator = std::make_shared<std::uint64_t>(0);
     stages.push_back([gain_fp, accumulator](runtime::Item&& input,
                                             std::vector<runtime::Item>& outputs) {
-      const std::uint64_t prev =
-          accumulator->fetch_add(gain_fp, std::memory_order_relaxed);
+      const std::uint64_t prev = *accumulator;
+      *accumulator += gain_fp;
       const std::size_t emit =
           static_cast<std::size_t>(((prev + gain_fp) >> 32) - (prev >> 32));
       for (std::size_t k = 0; k < emit; ++k) outputs.push_back(input);

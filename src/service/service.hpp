@@ -131,18 +131,12 @@ struct ServiceConfig {
   /// A full ring rejects as backpressure — counted, never dropped.
   std::size_t shard_queue_capacity = 65536;
   /// Pin shard worker k to core k mod hardware_concurrency (Linux only;
-  /// ignored elsewhere). With exec_threads > 1 each shard worker is pinned
-  /// to the first core of a disjoint exec_threads-wide core group instead,
-  /// so a shard's committer and its executor pool spread over neighboring
-  /// cores rather than stacking on one.
+  /// ignored elsewhere).
   bool pin_workers = false;
-  /// Execution threads per shard's batch executor
-  /// (runtime::ExecutorConfig::exec_threads): 1 (the default) runs batches
-  /// sequentially on the shard worker; N >= 2 makes the shard worker the
-  /// committer of a task-parallel run over N-1 pool threads; 0 selects
-  /// hardware_concurrency. Batch results and metrics are bit-identical
-  /// across every value, so the shards = 1 determinism contract extends to
-  /// shards x exec_threads.
+  /// Must be 1: each shard runs its batches on its own worker thread with
+  /// the sequential executor (DESIGN.md §16). The field stays only because
+  /// the end-to-end benchmark driver still assigns it; construction rejects
+  /// any other value.
   std::size_t exec_threads = 1;
 };
 
@@ -160,7 +154,13 @@ struct ServiceStats {
   std::uint64_t rejected_backpressure = 0;
   std::uint64_t shed = 0;
   std::uint64_t batches = 0;
+  /// Items handed to the executor, including those of failed batches.
   std::uint64_t executed_items = 0;
+  /// Batches whose executor run failed (a stage threw or the event budget
+  /// ran out) and the items they carried: spent, produced no sink output,
+  /// and are counted here rather than dropped silently.
+  std::uint64_t failed_batches = 0;
+  std::uint64_t failed_items = 0;
   std::uint64_t sink_outputs = 0;
   std::uint64_t deadline_misses = 0;
   std::uint64_t open_sessions = 0;
@@ -175,6 +175,8 @@ struct ShardStats {
   std::uint64_t open_sessions = 0;
   std::uint64_t batches = 0;
   std::uint64_t executed_items = 0;
+  std::uint64_t failed_batches = 0;
+  std::uint64_t failed_items = 0;
   std::uint64_t plan_epoch = 0;
   std::size_t queue_depth = 0;       ///< pending at the last drain
   double offered_rate = 0.0;         ///< last published to the ledger
@@ -303,6 +305,8 @@ class PipelineService {
 
     std::atomic<std::uint64_t> batches{0};
     std::atomic<std::uint64_t> executed_items{0};
+    std::atomic<std::uint64_t> failed_batches{0};
+    std::atomic<std::uint64_t> failed_items{0};
     std::atomic<std::size_t> last_drain_depth{0};
 
     Cycles last_arrival = 0.0;  ///< worker-only: previous observed arrival

@@ -12,9 +12,8 @@ namespace ripple::sim {
 
 /// Per-node counters. Cache-line aligned: adjacent nodes' counters live in a
 /// contiguous vector and are hammered from different threads when shards run
-/// side by side (and by the parallel executor's committer while pool workers
-/// touch neighboring state), so sharing a line across nodes turns every
-/// counter bump into cross-core traffic (see BM_MetricsContention).
+/// side by side, so sharing a line across nodes turns every counter bump
+/// into cross-core traffic (see BM_MetricsContention).
 struct alignas(64) NodeMetrics {
   std::uint64_t firings = 0;         ///< firings that consumed >= 1 item
   std::uint64_t empty_firings = 0;   ///< firings on an empty queue (paper §4)

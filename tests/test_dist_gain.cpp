@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -185,6 +186,11 @@ struct MomentCase {
   const char* label;
   GainPtr gain;
 };
+
+// Without this, gtest prints the case as its raw bytes, which hold pointers
+// that move with address-space randomisation, so the test names that ctest
+// discovers would change from one build to the next.
+void PrintTo(const MomentCase& c, std::ostream* os) { *os << c.label; }
 
 class GainMoments : public ::testing::TestWithParam<MomentCase> {};
 

@@ -152,42 +152,29 @@ TEST(LinearDelegation, ChainRunMatchesReferenceOracle) {
   expect_same_execution(reference.value(), delegated.value());
 }
 
-TEST(LinearDelegation, ParallelChainRunStaysIdentical) {
-  GraphScenario scenario = linear_scenario();
-  const GraphExecutor executor(scenario.graph, scenario.stages);
-  GraphExecutorConfig config = scenario_config(scenario.graph, 1.5, 5.0);
-  auto sequential = executor.run(scenario_inputs(250, 3), config);
-  ASSERT_TRUE(sequential.ok());
-  config.exec_threads = 4;
-  auto parallel = executor.run(scenario_inputs(250, 3), config);
-  ASSERT_TRUE(parallel.ok());
-  expect_same_execution(sequential.value(), parallel.value());
-}
-
-TEST(Determinism, ThreadCountNeverChangesResults) {
+TEST(Determinism, RandomizedTrialsMatchReference) {
   // 12 randomized trials over both branching scenarios: vary the input seed,
-  // arrival spacing, and interval slack, and require exec_threads in
-  // {2, 4, 8} to reproduce the single-threaded run bit for bit.
+  // arrival spacing, and interval slack, and require the vector DAG engine
+  // to reproduce the per-item oracle bit for bit.
   for (std::uint64_t trial_seed = 0; trial_seed < 12; ++trial_seed) {
     GraphScenario scenario = (trial_seed % 2 == 0)
                                  ? branching_blast_scenario()
                                  : telemetry_fanin_scenario();
     const double scale = 1.1 + 0.1 * static_cast<double>(trial_seed % 5);
     const Cycles gap = 6.0 + 3.0 * static_cast<double>(trial_seed % 4);
-    GraphExecutorConfig config = scenario_config(scenario.graph, scale, gap);
+    const GraphExecutorConfig config =
+        scenario_config(scenario.graph, scale, gap);
     const std::size_t count = 96 + 16 * (trial_seed % 3);
     const GraphExecutor executor(scenario.graph, scenario.stages);
 
-    auto golden = executor.run(scenario_inputs(count, trial_seed), config);
-    ASSERT_TRUE(golden.ok()) << trial_seed << ": " << golden.error().message;
-    for (std::size_t threads : {2u, 4u, 8u}) {
-      config.exec_threads = threads;
-      auto parallel = executor.run(scenario_inputs(count, trial_seed), config);
-      ASSERT_TRUE(parallel.ok())
-          << trial_seed << " threads=" << threads << ": "
-          << parallel.error().message;
-      expect_same_execution(golden.value(), parallel.value());
-    }
+    auto reference =
+        executor.run_reference(scenario_inputs(count, trial_seed), config);
+    ASSERT_TRUE(reference.ok())
+        << trial_seed << ": " << reference.error().message;
+    auto vector_run = executor.run(scenario_inputs(count, trial_seed), config);
+    ASSERT_TRUE(vector_run.ok())
+        << trial_seed << ": " << vector_run.error().message;
+    expect_same_execution(reference.value(), vector_run.value());
   }
 }
 

@@ -1,12 +1,15 @@
 // The vector-wide executor against the seed per-item engine: golden
 // equivalence on the real mini-BLAST pipeline (typed batch path and adapter
-// path, under both pinned dispatch levels), config-validation regressions,
-// and the adapter's throw-mid-batch contract.
+// path, under both pinned dispatch levels), a randomized equivalence fuzz
+// over irregular pipelines and arrival schedules, config-validation
+// regressions, and the adapter's throw-mid-batch contract.
 #include <gtest/gtest.h>
 
 #include <any>
+#include <array>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "blast/batch_stages.hpp"
@@ -156,6 +159,217 @@ TEST(BatchExecutorGolden, AdapterPathMatchesReference) {
   ASSERT_TRUE(got.ok()) << got.error().message;
   expect_metrics_identical(got.value(), golden.value());
   expect_alignments_identical(got.value().results, golden.value().results);
+}
+
+// ---------------------------------------------------------------------------
+// Randomized equivalence fuzz: irregular pipelines, irregular arrivals
+// ---------------------------------------------------------------------------
+
+/// The fuzz stages' per-lane gain is an irregular (but deterministic)
+/// function of the lane value: 0, 1 or 2 outputs per input, so queues grow
+/// and drain unevenly and firings routinely straddle batch boundaries. The
+/// typed and item-carrying stages compute the same values.
+std::uint32_t fuzz_mix(std::uint32_t x, std::uint32_t salt) {
+  return (x ^ salt) * 2654435761u;
+}
+std::uint32_t fuzz_count(std::uint32_t mixed) { return (mixed >> 13) % 3; }
+
+BatchStage make_fuzz_stage(std::uint32_t salt) {
+  BatchStage stage;
+  stage.input_fields = 1;
+  stage.output_fields = 1;
+  stage.fn = [salt](const LaneView& in, BatchEmitter& out) {
+    for (std::size_t lane = 0; lane < in.lanes; ++lane) {
+      const std::uint32_t mixed = fuzz_mix(in.field[0][lane], salt);
+      for (std::uint32_t c = 0; c < fuzz_count(mixed); ++c) {
+        out.emit(lane, mixed + c);
+      }
+    }
+  };
+  return stage;
+}
+
+StageFn make_fuzz_item_stage(std::uint32_t salt) {
+  return [salt](Item&& input, std::vector<Item>& outputs) {
+    const std::uint32_t mixed =
+        fuzz_mix(std::any_cast<std::uint32_t>(input), salt);
+    for (std::uint32_t c = 0; c < fuzz_count(mixed); ++c) {
+      outputs.emplace_back(mixed + c);
+    }
+  };
+}
+
+struct FuzzCase {
+  sdf::PipelineSpec spec;
+  std::vector<std::uint32_t> salts;
+  ExecutorConfig config;
+  std::vector<std::uint32_t> values;
+
+  explicit FuzzCase(sdf::PipelineSpec s) : spec(std::move(s)) {}
+
+  std::vector<BatchStage> batch_stages() const {
+    std::vector<BatchStage> stages;
+    for (std::uint32_t salt : salts) stages.push_back(make_fuzz_stage(salt));
+    return stages;
+  }
+  std::vector<StageFn> item_stages() const {
+    std::vector<StageFn> stages;
+    for (std::uint32_t salt : salts) {
+      stages.push_back(make_fuzz_item_stage(salt));
+    }
+    return stages;
+  }
+  BatchInputs batch_inputs() const {
+    BatchInputs inputs;
+    for (std::uint32_t value : values) inputs.push(value);
+    return inputs;
+  }
+  std::vector<Item> item_inputs() const {
+    return std::vector<Item>(values.begin(), values.end());
+  }
+};
+
+FuzzCase make_fuzz_case(std::uint64_t seed) {
+  dist::Xoshiro256 rng(seed);
+
+  const std::size_t nodes = 2 + rng.uniform_below(3);
+  const std::uint32_t width = 4u << rng.uniform_below(3);  // 4, 8, 16
+  sdf::PipelineBuilder builder("fuzz");
+  builder.simd_width(width);
+  std::vector<Cycles> service(nodes);
+  std::vector<std::uint32_t> salts;
+  for (std::size_t i = 0; i < nodes; ++i) {
+    service[i] = 1.0 + 9.0 * rng.uniform01();
+    builder.add_node("n" + std::to_string(i), service[i],
+                     dist::make_deterministic(1));
+    salts.push_back(static_cast<std::uint32_t>(seed * 1000 + i));
+  }
+  FuzzCase c(builder.build().take());
+  c.salts = std::move(salts);
+
+  for (std::size_t i = 0; i < nodes; ++i) {
+    c.config.firing_intervals.push_back(service[i] * (1.0 + 1.5 * rng.uniform01()));
+  }
+  const std::size_t input_count = 200 + rng.uniform_below(400);
+  const double tau = c.spec.mean_service_per_input() * (1.0 + 3.0 * rng.uniform01());
+  if (rng.uniform_below(4) != 0) {
+    // Irregular arrival schedule: bursts (short gaps) and lulls (long gaps).
+    for (std::size_t k = 0; k < input_count; ++k) {
+      c.config.input_gaps.push_back(tau * (0.1 + 1.9 * rng.uniform01()));
+    }
+  } else {
+    c.config.input_gap = tau;
+  }
+  if (rng.uniform_below(2) != 0) {
+    c.config.deadline = tau * static_cast<double>(4 + rng.uniform_below(60));
+  }
+  c.config.charge_empty_firings = rng.uniform_below(2) != 0;
+  c.config.max_collected_results = 64 + rng.uniform_below(512);
+
+  for (std::size_t k = 0; k < input_count; ++k) {
+    c.values.push_back(static_cast<std::uint32_t>(rng.uniform_below(1u << 20)));
+  }
+  return c;
+}
+
+/// Typed results materialize as u32 tuples; the reference emits bare u32s.
+std::uint32_t first_field(const Item& item) {
+  using Tuple = std::array<std::uint32_t, kMaxLaneFields>;
+  if (const auto* tuple = std::any_cast<Tuple>(&item)) return (*tuple)[0];
+  return std::any_cast<std::uint32_t>(item);
+}
+
+void expect_values_identical(const std::vector<Item>& got,
+                             const std::vector<Item>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    EXPECT_EQ(first_field(got[r]), first_field(want[r])) << "result " << r;
+  }
+}
+
+TEST(ExecutorFuzz, RandomPipelinesMatchReference) {
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const FuzzCase c = make_fuzz_case(seed);
+    const ReferenceExecutor reference(c.spec, c.item_stages());
+    const auto golden = reference.run(c.item_inputs(), c.config);
+    ASSERT_TRUE(golden.ok()) << golden.error().message;
+
+    const PipelineExecutor adapter_engine(c.spec, c.item_stages());
+    const auto adapter = adapter_engine.run(c.item_inputs(), c.config);
+    ASSERT_TRUE(adapter.ok()) << adapter.error().message;
+    {
+      SCOPED_TRACE("adapter path");
+      expect_metrics_identical(adapter.value(), golden.value());
+      expect_values_identical(adapter.value().results, golden.value().results);
+    }
+
+    const PipelineExecutor typed_engine(c.spec, c.batch_stages());
+    const auto typed = typed_engine.run_batch(c.batch_inputs(), c.config);
+    ASSERT_TRUE(typed.ok()) << typed.error().message;
+    {
+      SCOPED_TRACE("typed path");
+      expect_metrics_identical(typed.value(), golden.value());
+      expect_values_identical(typed.value().results, golden.value().results);
+    }
+  }
+}
+
+TEST(ExecutorFuzz, AllFilteredMakespanFallbackMatchesReference) {
+  // Every input is dropped at stage 0, so no sink output ever sets the
+  // makespan and every engine must take the arrival-clock fallback — under
+  // both the fixed-gap and the per-input-gap arithmetic.
+  sdf::PipelineSpec spec = sdf::PipelineBuilder("filter")
+                               .simd_width(4)
+                               .add_node("drop", 3.0, dist::make_deterministic(1))
+                               .add_node("sink", 2.0, dist::make_deterministic(1))
+                               .build()
+                               .take();
+  std::vector<BatchStage> typed_stages(2);
+  typed_stages[0].fn = [](const LaneView&, BatchEmitter&) {};
+  typed_stages[1].fn = [](const LaneView& in, BatchEmitter& out) {
+    for (std::size_t lane = 0; lane < in.lanes; ++lane) {
+      out.emit(lane, in.field[0][lane]);
+    }
+  };
+  const std::vector<StageFn> item_stages = {
+      [](Item&&, std::vector<Item>&) {},
+      [](Item&& input, std::vector<Item>& outputs) {
+        outputs.push_back(std::move(input));
+      }};
+  const PipelineExecutor typed_engine(spec, typed_stages);
+  const PipelineExecutor adapter_engine(spec, item_stages);
+  const ReferenceExecutor reference(spec, item_stages);
+
+  BatchInputs inputs;
+  std::vector<Item> items;
+  for (std::uint32_t k = 0; k < 37; ++k) {
+    inputs.push(k);
+    items.emplace_back(k);
+  }
+
+  for (const bool per_input : {false, true}) {
+    SCOPED_TRACE(per_input ? "per-input gaps" : "fixed gap");
+    ExecutorConfig config;
+    config.firing_intervals = {5.0, 4.0};
+    config.input_gap = 2.5;
+    if (per_input) {
+      for (std::uint32_t k = 0; k < 37; ++k) {
+        config.input_gaps.push_back(1.0 + 0.25 * static_cast<double>(k % 7));
+      }
+    }
+    const auto golden = reference.run(items, config);
+    ASSERT_TRUE(golden.ok());
+    EXPECT_EQ(golden.value().base.sink_outputs, 0u);
+    EXPECT_GT(golden.value().base.makespan, 0.0);
+
+    const auto typed = typed_engine.run_batch(inputs, config);
+    ASSERT_TRUE(typed.ok());
+    expect_metrics_identical(typed.value(), golden.value());
+    const auto adapter = adapter_engine.run(items, config);
+    ASSERT_TRUE(adapter.ok());
+    expect_metrics_identical(adapter.value(), golden.value());
+  }
 }
 
 // ---------------------------------------------------------------------------

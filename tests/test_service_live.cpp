@@ -1,12 +1,15 @@
 // PipelineService: single-threaded deterministic paths (drain_once
-// conservation, backpressure, session lifecycle, shed-newest-first and the
-// shed-stream liveness tick) plus the multi-threaded soak the CI TSan job
-// runs to validate the lock/atomic discipline.
+// conservation, backpressure, session lifecycle, shed-newest-first, the
+// shed-stream liveness tick and failed-batch accounting) plus the
+// multi-threaded soak the CI TSan job runs to validate the lock/atomic
+// discipline.
 #include <gtest/gtest.h>
 
+#include <any>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -416,94 +419,48 @@ TEST(ServiceShardedTest, MultiShardSoakConservesItems) {
   EXPECT_EQ(shard_items, stats.executed_items);
 }
 
-// Deterministic parity: the same submission sequence drained through the
-// task-parallel executor (exec_threads = 4) must produce exactly the stats
-// the sequential engine produces. Single shard, single driving thread, so
-// any divergence is the parallel engine's fault, not scheduling noise.
-TEST(ServiceParallelTest, DrainOnceMatchesSequentialEngine) {
+// A stage that throws fails its whole batch: the batch's items are spent,
+// counted as failed rather than dropped silently, and the service keeps
+// draining later submissions. executed_items still counts the failed batch,
+// so accepted == executed conservation holds.
+TEST(ServiceLiveTest, FailedBatchIsCountedAndDrainingContinues) {
   const sdf::PipelineSpec spec = make_spec();
-  ServiceStats got[2];
-  for (int variant = 0; variant < 2; ++variant) {
-    ServiceConfig config = base_config();
-    config.exec_threads = variant == 0 ? 1 : 4;
-    PipelineService service(spec, synthetic_stages(spec), config);
-    const SessionId a = service.open_session();
-    const SessionId b = service.open_session();
-    for (int round = 0; round < 10; ++round) {
-      service.submit(round % 2 == 0 ? a : b, make_items(16));
+  std::vector<runtime::StageFn> stages = synthetic_stages(spec);
+  auto armed = std::make_shared<bool>(true);
+  stages[0] = [inner = stages[0], armed](runtime::Item&& input,
+                                         std::vector<runtime::Item>& outputs) {
+    if (*armed && std::any_cast<std::uint64_t>(input) == 5) {
+      *armed = false;
+      throw std::runtime_error("poison item");
     }
-    service.drain_once();
-    got[variant] = service.stats();
-  }
-  EXPECT_EQ(got[0].submitted, got[1].submitted);
-  EXPECT_EQ(got[0].accepted, got[1].accepted);
-  EXPECT_EQ(got[0].executed_items, got[1].executed_items);
-  EXPECT_EQ(got[0].sink_outputs, got[1].sink_outputs);
-  EXPECT_EQ(got[0].batches, got[1].batches);
-}
-
-// The cross-product soak the CI TSan job runs: two shard workers, each
-// driving a four-thread task-parallel executor (committer + three pool
-// workers), with concurrent producers and a stats reader. Exercises the
-// work-stealing deques and the commit protocol under real contention; item
-// conservation must hold globally.
-TEST(ServiceParallelTest, ShardedParallelExecutorSoakConservesItems) {
-  const sdf::PipelineSpec spec = make_spec();
+    inner(std::move(input), outputs);
+  };
   ServiceConfig config = base_config();
-  config.shards = 2;
-  config.exec_threads = 4;
-  PipelineService service(spec, synthetic_stage_factory(spec), config);
-  service.start();
+  constexpr std::size_t kBatch = 16;
+  ASSERT_GE(config.batch_size, kBatch);  // one drain = one executor batch
+  PipelineService service(spec, std::move(stages), config);
+  const SessionId session = service.open_session();
 
-  constexpr int kProducers = 4;
-  constexpr int kRounds = 40;
-  constexpr std::size_t kBatch = 8;
+  ASSERT_EQ(service.submit(session, make_items(kBatch)).accepted, kBatch);
+  EXPECT_EQ(service.drain_once(), kBatch);
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.failed_batches, 1u);
+  EXPECT_EQ(stats.failed_items, kBatch);
+  EXPECT_EQ(stats.executed_items, kBatch);
+  EXPECT_EQ(stats.sink_outputs, 0u);
+  const ShardStats shard = service.shard_stats(0);
+  EXPECT_EQ(shard.failed_batches, 1u);
+  EXPECT_EQ(shard.failed_items, kBatch);
 
-  std::atomic<bool> stop_reader{false};
-  std::thread reader([&] {
-    while (!stop_reader.load(std::memory_order_relaxed)) {
-      const ServiceStats stats = service.stats();
-      ASSERT_LE(stats.accepted, stats.submitted);
-      for (std::size_t s = 0; s < service.shards(); ++s) {
-        (void)service.shard_stats(s);
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  });
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      const SessionId a = service.open_session();
-      const SessionId b = service.open_session();
-      for (int round = 0; round < kRounds; ++round) {
-        service.submit(round % 2 == 0 ? a : b, make_items(kBatch));
-        if (round % 4 == p % 4) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-      }
-      service.close_session(a);
-      service.close_session(b);
-    });
-  }
-
-  for (std::thread& producer : producers) producer.join();
-  service.stop();
-  stop_reader.store(true);
-  reader.join();
-
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.submitted,
-            stats.accepted + stats.rejected_backpressure + stats.shed);
+  ASSERT_EQ(service.submit(session, make_items(kBatch)).accepted, kBatch);
+  EXPECT_EQ(service.drain_once(), kBatch);
+  stats = service.stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.failed_batches, 1u);
+  EXPECT_EQ(stats.failed_items, kBatch);
   EXPECT_EQ(stats.executed_items, stats.accepted);
-  EXPECT_EQ(stats.sink_outputs, 2 * stats.executed_items);
-  EXPECT_EQ(stats.open_sessions, 0u);
-
-  std::size_t shard_items = 0;
-  for (std::size_t s = 0; s < service.shards(); ++s) {
-    shard_items += service.shard_stats(s).executed_items;
-  }
-  EXPECT_EQ(shard_items, stats.executed_items);
+  EXPECT_EQ(stats.sink_outputs, 2 * kBatch);
 }
 
 TEST(ServiceLiveTest, RejectsMalformedConfig) {
@@ -535,10 +492,14 @@ TEST(ServiceLiveTest, RejectsMalformedConfig) {
   EXPECT_THROW(PipelineService(spec, synthetic_stages(spec), sharded),
                std::logic_error);
 
-  ServiceConfig wide = base_config();
-  wide.exec_threads = 257;  // above the sanity cap (0 = hardware concurrency)
-  EXPECT_THROW(PipelineService(spec, synthetic_stages(spec), wide),
-               std::logic_error);
+  // Each shard executes sequentially on its worker: exec_threads must be 1.
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
+    ServiceConfig parallel = base_config();
+    parallel.exec_threads = threads;
+    EXPECT_THROW(PipelineService(spec, synthetic_stages(spec), parallel),
+                 std::logic_error)
+        << "exec_threads " << threads;
+  }
 }
 
 }  // namespace

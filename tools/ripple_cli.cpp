@@ -19,7 +19,7 @@
 //                         --tau0 T --deadline D [control flags as recorded]
 //   ripple_cli graph      <graph.json|branching-blast|telemetry-fanin>
 //                         [--mode validate|plan|run] [--tau0 T --deadline D]
-//                         [--b ...] [--inputs N] [--exec-threads N]
+//                         [--b ...] [--inputs N]
 //
 // The literal pipeline name "blast" loads the paper's canonical Table 1
 // pipeline; anything else is read as a JSON file in the schema documented in
@@ -565,9 +565,6 @@ int cmd_serve(const sdf::PipelineSpec& pipeline, util::CliParser& cli) {
   config.controller = serve_controller_config(cli);
   config.shards = positive_count(cli, "shards");
   config.pin_workers = cli.get_flag("pin");
-  // 0 is legal (= hardware concurrency), so this is a non-negative count.
-  config.exec_threads =
-      static_cast<std::size_t>(non_negative_count(cli, "exec-threads"));
 
   const long long listen = cli.get_int("listen");
   if (listen > 65535) throw std::logic_error("--listen must be a port");
@@ -665,17 +662,23 @@ int cmd_serve(const sdf::PipelineSpec& pipeline, util::CliParser& cli) {
             << util::with_commas(stats.executed_items) << ", sink outputs "
             << util::with_commas(stats.sink_outputs) << ", misses "
             << util::with_commas(stats.deadline_misses) << "\n"
+            << "failed batches " << util::with_commas(stats.failed_batches)
+            << ", failed items " << util::with_commas(stats.failed_items)
+            << "\n"
             << "control: " << loop.replans << " replans over " << loop.ticks
             << " ticks, plan epoch " << stats.plan_epoch << ", tau0_est "
             << fmt(svc.controller().estimator().tau0(), 2) << "\n";
   if (svc.shards() > 1) {
     util::TextTable table({"shard", "sessions", "batches", "executed",
-                           "epoch", "depth", "watermark"});
+                           "failed batches", "failed items", "epoch", "depth",
+                           "watermark"});
     for (std::size_t s = 0; s < svc.shards(); ++s) {
       const service::ShardStats shard = svc.shard_stats(s);
       table.add_row({std::to_string(s), std::to_string(shard.open_sessions),
                      util::with_commas(shard.batches),
                      util::with_commas(shard.executed_items),
+                     util::with_commas(shard.failed_batches),
+                     util::with_commas(shard.failed_items),
                      std::to_string(shard.plan_epoch),
                      std::to_string(shard.queue_depth),
                      shard.admitted_watermark == UINT64_MAX
@@ -953,7 +956,6 @@ int cmd_graph(util::CliParser& cli) {
     config.firing_intervals = schedule.firing_intervals;
     config.input_gap = tau0;
     config.deadline = deadline;
-    config.exec_threads = non_negative_count(cli, "exec-threads");
     const graph::GraphExecutor executor(g, loaded.value().stages);
     auto run = executor.run(graph::scenario_inputs(inputs, seed), config);
     if (!run.ok()) {
@@ -1024,10 +1026,6 @@ int main(int argc, const char** argv) {
   cli.add_int("producers", 2, "serve: producer threads");
   cli.add_int("shards", 1, "serve: shard workers (sessions hash to a shard)");
   cli.add_flag("pin", false, "serve: pin each shard worker to a core");
-  cli.add_int("exec-threads", 1,
-              "serve: task-parallel executor threads per shard (1 = "
-              "sequential engine, 0 = hardware concurrency; results are "
-              "bit-identical across values)");
   cli.add_int("duration-ms", 200, "serve: wall-clock run time");
   cli.add_int("submit-batch", 8, "serve: items per submission");
   cli.add_int("submit-gap-us", 500, "serve: producer sleep between submissions");
