@@ -35,7 +35,8 @@ int main(int argc, const char** argv) {
   util::Stopwatch watch;
   const auto surface =
       core::run_sweep(pipeline, bench::paper_enforced_config(), {},
-                      core::SweepGrid::paper_ranges(tau0_points, d_points), &pool);
+                      core::SweepGrid::paper_ranges(tau0_points, d_points),
+                      {&pool});
 
   // Table: rows = tau0, columns = D; "--" marks infeasible cells.
   std::vector<std::string> headers{"tau0 \\ D"};

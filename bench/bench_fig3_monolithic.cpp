@@ -38,7 +38,8 @@ int main(int argc, const char** argv) {
   util::Stopwatch watch;
   const auto surface =
       core::run_sweep(pipeline, bench::paper_enforced_config(), {},
-                      core::SweepGrid::paper_ranges(tau0_points, d_points), &pool);
+                      core::SweepGrid::paper_ranges(tau0_points, d_points),
+                      {&pool});
 
   std::vector<std::string> headers{"tau0 \\ D"};
   for (Cycles d : surface.grid().deadline_values) {

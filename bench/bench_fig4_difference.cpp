@@ -35,7 +35,7 @@ int main(int argc, const char** argv) {
   util::Stopwatch watch;
   const auto surface = core::run_sweep(
       blast::canonical_blast_pipeline(), bench::paper_enforced_config(), {},
-      core::SweepGrid::paper_ranges(tau0_points, d_points), &pool);
+      core::SweepGrid::paper_ranges(tau0_points, d_points), {&pool});
 
   std::vector<std::string> headers{"tau0 \\ D"};
   for (Cycles d : surface.grid().deadline_values) {

@@ -16,7 +16,6 @@
 #include "arrivals/arrival_process.hpp"
 #include "control/controller.hpp"
 #include "core/enforced_waits.hpp"
-#include "core/warm_start.hpp"
 #include "dist/gain.hpp"
 #include "net/server.hpp"
 #include "runtime/pipeline_executor.hpp"
@@ -77,26 +76,6 @@ void BM_ReplanColdSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReplanColdSolve);
-
-/// Re-plan latency, warm: each solve is seeded with the previous solution,
-/// exactly what Replanner::solve_and_publish does between drifting targets.
-void BM_ReplanWarmSolve(benchmark::State& state) {
-  const sdf::PipelineSpec spec = make_solver_spec();
-  const core::EnforcedWaitsStrategy strategy(
-      spec, core::EnforcedWaitsConfig::optimistic(spec));
-  const Cycles base = 2.0 * strategy.min_feasible_tau0(kDeadline);
-  auto previous = strategy.solve(base, kDeadline).value();
-  std::size_t flip = 0;
-  for (auto _ : state) {
-    const Cycles target = base * (flip++ % 2 == 0 ? 1.05 : 0.95);
-    const core::WarmStart warm =
-        core::WarmStart::from_intervals(previous.firing_intervals);
-    auto solved = strategy.solve(target, kDeadline, &warm);
-    benchmark::DoNotOptimize(solved);
-    previous = std::move(solved.value());
-  }
-}
-BENCHMARK(BM_ReplanWarmSolve);
 
 /// The hysteresis fast path: one observed gap plus a tick that keeps the
 /// plan. This is the per-control-interval cost the service pays in steady

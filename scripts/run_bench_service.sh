@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Run the online-control-loop benchmarks and write BENCH_service.json at the
-# repo root: warm- vs cold-started re-plan latency, the steady-state
+# repo root: the re-plan solve latency, the steady-state
 # controller tick, the closed-loop drain cycle against the static-plan
 # baseline, and the sharded-ingest drain sweep (legacy per-session scan-merge
-# vs the MPSC ring at 1/2/4/8 shards). Prints the warm-start speedup, the
+# vs the MPSC ring at 1/2/4/8 shards). Prints the re-plan latency, the
 # closed-loop steady-state overhead (bar: < 2%), the drain-throughput
 # scaling curve (bar: >= 4x over the legacy single-worker drain at 8 shards),
 # and the loopback TCP ingest throughput through src/net's epoll front door (bar: >= 1M
@@ -42,10 +42,8 @@ with open(sys.argv[1]) as f:
 times = {b["name"]: b["real_time"] for b in doc["benchmarks"]}
 
 cold = times.get("BM_ReplanColdSolve")
-warm = times.get("BM_ReplanWarmSolve")
-if cold and warm:
-    print(f"re-plan latency: cold = {cold / 1e3:.2f} us, "
-          f"warm = {warm / 1e3:.2f} us ({cold / warm:.2f}x speedup)")
+if cold:
+    print(f"re-plan latency: {cold / 1e3:.2f} us")
 
 tick = times.get("BM_ControllerTickSteady")
 gap = times.get("BM_ObserveGapSteady")

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/warm_start.hpp"
 #include "util/assert.hpp"
 
 #if RIPPLE_OBS
@@ -50,13 +49,6 @@ Cycles Replanner::clamp_target(Cycles tau0_hat, bool& shedding) const {
 }
 
 ReplanOutcome Replanner::solve_and_publish(Cycles target, bool shedding) {
-  const PlanPtr previous = store_.load();
-  core::WarmStart warm;
-  const core::WarmStart* hint = nullptr;
-  if (previous != nullptr) {
-    warm = core::WarmStart::from_intervals(previous->schedule.firing_intervals);
-    hint = &warm;
-  }
 #if RIPPLE_OBS
   obs::TraceWriter trace = obs::TraceWriter::for_current_thread();
   const double t0 = obs::TraceSession::global().host_now_us();
@@ -64,7 +56,7 @@ ReplanOutcome Replanner::solve_and_publish(Cycles target, bool shedding) {
     trace.begin(obs::Domain::kHost, trace.track(), "control.replan", t0);
   }
 #endif
-  auto solved = strategy_.solve(target, deadline_, hint);
+  auto solved = strategy_.solve(target, deadline_);
 #if RIPPLE_OBS
   if (trace.active()) {
     const double t1 = obs::TraceSession::global().host_now_us();

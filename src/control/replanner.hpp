@@ -16,12 +16,8 @@
 //      plan, a cooldown of consider() calls has elapsed, the feasibility
 //      state flipped, or the caller forces it (observed-slack trigger).
 //      Everything else keeps the published plan — steady state costs two
-//      compares, no solver work.
-//   3. Warm start: each re-solve is seeded with the published plan's firing
-//      intervals via core::WarmStart, the same mechanism run_sweep uses
-//      between grid-adjacent cells; solve latency drops accordingly (see
-//      bench/bench_service.cpp) and results are bit-identical to cold
-//      solves.
+//      compares, no solver work. A re-solve is one exact closed-form solve
+//      of a few microseconds (BM_ReplanColdSolve in bench/bench_service.cpp).
 //
 // Solved plans are published through the PlanStore's atomic swap; in-flight
 // batches keep executing under the plan they loaded.
@@ -67,9 +63,9 @@ struct ReplanDecision {
 
 /// The re-planner's full decision state plus the published plan, for journal
 /// snapshots (net/journal). The plan's KKT certificate is *not* captured —
-/// nothing downstream of publish reads it (warm starts use the firing
-/// intervals, hysteresis uses planned_tau0/shedding), so a restored plan has
-/// a default certificate until the next re-solve replaces it.
+/// nothing downstream of publish reads it (hysteresis uses
+/// planned_tau0/shedding), so a restored plan has a default certificate
+/// until the next re-solve replaces it.
 struct ReplannerCheckpoint {
   std::uint64_t ticks = 0;
   std::uint64_t last_replan_tick = 0;
@@ -121,7 +117,7 @@ class Replanner {
  private:
   /// Clamp headroom * tau0_hat to the feasibility floor; sets `shedding`.
   Cycles clamp_target(Cycles tau0_hat, bool& shedding) const;
-  /// Solve at target (warm-started from the published plan) and publish.
+  /// Solve at target and publish.
   ReplanOutcome solve_and_publish(Cycles target, bool shedding);
 
   core::EnforcedWaitsStrategy strategy_;

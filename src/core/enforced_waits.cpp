@@ -2,15 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
+#include <cstdio>
+#include <string>
 
 #include "core/waterfill.hpp"
-#include "opt/barrier.hpp"
 #include "sdf/analysis.hpp"
 #include "util/assert.hpp"
 #include "util/string_utils.hpp"
 
 namespace ripple::core {
+
+namespace {
+
+std::string scientific(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.3e", value);
+  return buffer;
+}
+
+}  // namespace
 
 EnforcedWaitsConfig EnforcedWaitsConfig::optimistic(
     const sdf::PipelineSpec& pipeline) {
@@ -174,108 +184,8 @@ EnforcedWaitsSchedule EnforcedWaitsStrategy::make_schedule(
   return schedule;
 }
 
-std::vector<std::uint8_t> EnforcedWaitsStrategy::detect_active_chain(
-    const std::vector<Cycles>& firing_intervals) const {
-  RIPPLE_REQUIRE(firing_intervals.size() == pipeline_.size(),
-                 "one interval per node required");
-  std::vector<std::uint8_t> active(pipeline_.size(), 0);
-  for (std::size_t i = 1; i < pipeline_.size(); ++i) {
-    const double g = pipeline_.mean_gain(i - 1);
-    if (g <= 0.0) continue;
-    const double slack = firing_intervals[i - 1] - g * firing_intervals[i];
-    if (slack <= 1e-6 * (1.0 + firing_intervals[i - 1])) active[i] = 1;
-  }
-  return active;
-}
-
-std::vector<Cycles> EnforcedWaitsStrategy::canonical_chain_solve(
-    Cycles tau0, Cycles deadline, const opt::ConvexProblem& problem,
-    std::vector<std::uint8_t> active_chain) const {
-  const std::size_t n = pipeline_.size();
-
-  // Fixed-point iteration over the discrete active set: solve the set
-  // exactly, re-detect on the exact point, repeat. Each distinct set is
-  // visited at most once, so n + 1 rounds always suffice to either settle
-  // or cycle out. A settled set is accepted only with a certificate-grade
-  // KKT pass — a rejected candidate costs a barrier solve, an accepted one
-  // must be the optimum.
-  auto settle = [&](std::vector<std::uint8_t> set)
-      -> std::optional<WaterfillSolution> {
-    for (std::size_t round = 0; round <= n; ++round) {
-      auto solved = waterfill_solve_chained(pipeline_, config_.b, tau0,
-                                            deadline, set);
-      if (!solved.ok()) return std::nullopt;
-      WaterfillSolution& candidate = solved.value();
-      if (!candidate.chain_feasible) {
-        // An inactive edge is violated: it belongs in the active set.
-        std::vector<std::uint8_t> widened = set;
-        bool changed = false;
-        for (std::size_t i = 1; i < n; ++i) {
-          const double g = pipeline_.mean_gain(i - 1);
-          if (g > 0.0 && candidate.firing_intervals[i] * g >
-                             candidate.firing_intervals[i - 1] * (1.0 + 1e-12)) {
-            if (widened[i] == 0) changed = true;
-            widened[i] = 1;
-          }
-        }
-        if (!changed) return std::nullopt;
-        set = std::move(widened);
-        continue;
-      }
-      const std::vector<std::uint8_t> detected =
-          detect_active_chain(candidate.firing_intervals);
-      if (detected != set) {
-        set = detected;
-        continue;
-      }
-      const linalg::Vector x(candidate.firing_intervals.begin(),
-                             candidate.firing_intervals.end());
-      const double grad_scale = 1.0 + linalg::norm_inf(problem.gradient(x));
-      const Cycles max_interval = *std::max_element(
-          candidate.firing_intervals.begin(), candidate.firing_intervals.end());
-      const opt::KktReport report = opt::check_kkt(
-          problem, x, /*active_tolerance=*/1e-6 * (1.0 + max_interval));
-      if (report.certified(/*primal=*/1e-9 * (1.0 + deadline),
-                           /*stationarity=*/1e-8 * grad_scale,
-                           /*multiplier=*/1e-8 * grad_scale)) {
-        candidate.chain_active = std::move(set);
-        return std::move(candidate);
-      }
-      return std::nullopt;
-    }
-    return std::nullopt;
-  };
-
-  std::optional<WaterfillSolution> settled = settle(std::move(active_chain));
-  if (!settled.has_value()) return {};
-
-  // Canonical minimal set: a forced chain equality re-detects as active with
-  // exactly zero slack, so a spuriously nominated edge is a fixed point of
-  // settle() too, and with certificate tolerances two different sets can
-  // both pass. Prune any edge whose removal strictly improves the certified
-  // optimum; warm (over-nominating) and cold (barrier-detected) starts then
-  // land on the same set, which is what makes warm solves bit-identical.
-  // Each accepted prune strictly lowers the objective, so n rounds bound it.
-  for (std::size_t round = 0; round < n; ++round) {
-    bool improved = false;
-    for (std::size_t i = 1; i < n && !improved; ++i) {
-      if (settled->chain_active[i] == 0) continue;
-      std::vector<std::uint8_t> trial_set = settled->chain_active;
-      trial_set[i] = 0;
-      std::optional<WaterfillSolution> trial = settle(std::move(trial_set));
-      if (trial.has_value() &&
-          trial->active_fraction < settled->active_fraction) {
-        settled = std::move(trial);
-        improved = true;
-      }
-    }
-    if (!improved) break;
-  }
-  return std::move(settled->firing_intervals);
-}
-
 util::Result<EnforcedWaitsSchedule> EnforcedWaitsStrategy::solve(
-    Cycles tau0, Cycles deadline, const WarmStart* warm) const {
+    Cycles tau0, Cycles deadline) const {
   using R = util::Result<EnforcedWaitsSchedule>;
   RIPPLE_REQUIRE(tau0 > 0.0, "tau0 must be positive");
   RIPPLE_REQUIRE(deadline > 0.0, "deadline must be positive");
@@ -301,53 +211,31 @@ util::Result<EnforcedWaitsSchedule> EnforcedWaitsStrategy::solve(
   // Degenerate feasible region: when the minimal point L already exhausts
   // (numerically) the whole deadline budget, L is the unique feasible point
   // (every feasible x dominates L componentwise).
-  const linalg::Vector start = interior_start(tau0, deadline);
-  if (start.empty()) {
+  if (interior_start(tau0, deadline).empty()) {
     return make_schedule(lower, problem);
   }
 
-  // Fast path: the chain-free water-filling closed form. When its optimum
-  // already satisfies the chain constraints it is exact for the full
-  // problem (the chain constraints were inactive), and the KKT check in
-  // make_schedule certifies it.
-  if (auto filled = waterfill_solve(pipeline_, config_.b, tau0, deadline);
-      filled.ok() && filled.value().chain_feasible) {
-    return make_schedule(filled.value().firing_intervals, problem);
+  auto pooled = waterfill_solve_pooled(pipeline_, config_.b, tau0, deadline);
+  if (!pooled.ok()) {
+    return R::failure(pooled.error().code, pooled.error().message);
   }
+  EnforcedWaitsSchedule schedule =
+      make_schedule(std::move(pooled.value().firing_intervals), problem);
 
-  // Warm path: a neighboring cell's intervals nominate the active chain
-  // set; canonical_chain_solve only accepts a KKT-certified exact optimum,
-  // so a stale hint falls through to the barrier below at no correctness
-  // cost. Note the hint is reduced to a discrete active set — the numeric
-  // intervals themselves never leak into the result, which is how warm and
-  // cold solves stay bit-identical.
-  if (warm != nullptr && warm->has_enforced_hint() &&
-      warm->firing_intervals.size() == pipeline_.size()) {
-    std::vector<Cycles> canonical = canonical_chain_solve(
-        tau0, deadline, problem, detect_active_chain(warm->firing_intervals));
-    if (!canonical.empty()) {
-      return make_schedule(std::move(canonical), problem);
-    }
+  const linalg::Vector x(schedule.firing_intervals.begin(),
+                         schedule.firing_intervals.end());
+  const double grad_scale = 1.0 + linalg::norm_inf(problem.gradient(x));
+  if (!schedule.kkt.certified(/*primal=*/1e-9 * (1.0 + deadline),
+                              /*stationarity=*/1e-8 * grad_scale,
+                              /*multiplier=*/1e-8 * grad_scale)) {
+    return R::failure(
+        "uncertified",
+        "closed-form point fails the KKT certificate: primal " +
+            scientific(schedule.kkt.primal_infeasibility) + ", stationarity " +
+            scientific(schedule.kkt.stationarity_residual) +
+            ", min multiplier " + scientific(schedule.kkt.min_multiplier));
   }
-
-  auto solved = opt::barrier_minimize(problem, start);
-  if (!solved.ok()) {
-    return R::failure(solved.error().code,
-                      "barrier solve failed: " + solved.error().message);
-  }
-  const linalg::Vector& x = solved.value().x;
-
-  // Canonical polish: replace the barrier's approximate point with the
-  // exact chained water-filling solution of its active set. This is what
-  // the warm path computes directly, so a cell solved cold and a cell
-  // solved from a neighbor's hint land on the same bits.
-  std::vector<Cycles> intervals(x.begin(), x.end());
-  std::vector<Cycles> canonical = canonical_chain_solve(
-      tau0, deadline, problem, detect_active_chain(intervals));
-  if (!canonical.empty()) {
-    return make_schedule(std::move(canonical), problem);
-  }
-  return make_schedule(std::move(intervals), problem);
+  return schedule;
 }
 
 }  // namespace ripple::core

@@ -14,14 +14,13 @@
 //
 // where the b_i are worst-case queue-depth multipliers calibrated against
 // simulation (see calib/). The problem is convex in x = t + w with linear
-// constraints; we solve it with the log-barrier Newton solver and verify the
-// result against KKT conditions.
+// constraints. solve() finds the active chain constraints by pooling
+// adjacent violators and computes the optimum in closed form on that set
+// (core/waterfill.hpp); every returned schedule carries a KKT certificate.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
-#include "core/warm_start.hpp"
 #include "opt/kkt.hpp"
 #include "opt/problem.hpp"
 #include "sdf/pipeline.hpp"
@@ -73,18 +72,11 @@ class EnforcedWaitsStrategy {
   /// exceeds it.
   Cycles min_feasible_tau0(Cycles deadline) const;
 
-  /// Solve Figure 1. Failure code "infeasible" carries the violated
-  /// constraint in its message.
-  ///
-  /// `warm` optionally carries a neighboring cell's solution (see
-  /// warm_start.hpp). The hinted firing intervals are used to guess the
-  /// active chain set, which the chained water-filling closed form then
-  /// solves exactly; a KKT certificate on the full problem gates
-  /// acceptance. Because the cold path canonicalizes its barrier solution
-  /// through the same active-set machinery, warm and cold solves return
-  /// bit-identical schedules — the hint only skips the barrier iterations.
-  util::Result<EnforcedWaitsSchedule> solve(Cycles tau0, Cycles deadline,
-                                            const WarmStart* warm = nullptr) const;
+  /// Solve Figure 1. Failure codes: "infeasible" carries the violated
+  /// constraint in its message; "uncertified" (never seen on the paper grid
+  /// or in the randomized tests) carries the KKT residuals of a closed-form
+  /// point that failed the optimality certificate.
+  util::Result<EnforcedWaitsSchedule> solve(Cycles tau0, Cycles deadline) const;
 
   /// The Figure 1 problem in x-space (exposed for cross-checking solvers).
   opt::ConvexProblem build_problem(Cycles tau0, Cycles deadline) const;
@@ -96,26 +88,9 @@ class EnforcedWaitsStrategy {
   /// Active fraction of a given schedule x (no feasibility check).
   double active_fraction(const std::vector<Cycles>& firing_intervals) const;
 
-  /// Chain constraints numerically tight at x (one flag per node; entry i
-  /// refers to g_{i-1} x_i <= x_{i-1}, entry 0 always false). Exposed for
-  /// the warm-start tests.
-  std::vector<std::uint8_t> detect_active_chain(
-      const std::vector<Cycles>& firing_intervals) const;
-
  private:
   EnforcedWaitsSchedule make_schedule(std::vector<Cycles> intervals,
                                       const opt::ConvexProblem& problem) const;
-
-  /// Deterministic canonicalization: starting from a guessed active chain
-  /// set, iterate chained water-filling + re-detection to a fixed point and
-  /// accept only with a KKT certificate on the full problem. Returns the
-  /// exact intervals, or empty when no certified fixed point was reached
-  /// (caller falls back). The result depends only on (tau0, deadline,
-  /// fixed-point set), never on where the initial guess came from — the
-  /// warm and cold paths meet here, which is what makes them bit-identical.
-  std::vector<Cycles> canonical_chain_solve(
-      Cycles tau0, Cycles deadline, const opt::ConvexProblem& problem,
-      std::vector<std::uint8_t> active_chain) const;
 
   sdf::PipelineSpec pipeline_;
   EnforcedWaitsConfig config_;

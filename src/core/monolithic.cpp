@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <cmath>
 
-#include "opt/integer.hpp"
 #include "util/assert.hpp"
 #include "util/string_utils.hpp"
 
 namespace ripple::core {
 
 namespace {
-/// Hard cap on scan range; generous relative to the paper's parameter space
-/// (M <= D * rho0 <= 3.5e5 there).
+/// Hard cap on the block size; generous relative to the paper's parameter
+/// space (M <= D * rho0 <= 3.5e5 there).
 constexpr std::int64_t kMaxBlockCap = 50'000'000;
 }  // namespace
 
@@ -56,46 +55,79 @@ double MonolithicStrategy::active_fraction(std::int64_t block_size,
 std::int64_t MonolithicStrategy::max_block_size(Cycles tau0,
                                                 Cycles deadline) const {
   // Tbar(M) >= M * c, so the deadline b*M*tau0 + S*Tbar(M) <= D forces
-  // M <= D / (b*tau0 + S*c). Only deadline-infeasible blocks are cut, so
-  // every scan/branch-and-bound argmin is unchanged (regression-tested
-  // against the untightened cap over the paper grid).
+  // M <= D / (b*tau0 + S*c). Only deadline-infeasible blocks are cut.
   const double cap =
       deadline / (config_.b * tau0 + config_.S * service_per_input_floor_);
   if (cap < 1.0) return 0;
   return std::min<std::int64_t>(static_cast<std::int64_t>(cap), kMaxBlockCap);
 }
 
-double MonolithicStrategy::interval_bound(std::int64_t lo, std::int64_t hi,
-                                          Cycles tau0) const {
-  // Relaxation: ceil(z) >= max(z, 1 when z > 0), so the objective at M is at
-  // least f_relax(M) = sum_i max(G_i t_i / v, t_i/M [G_i>0]) / tau0, which is
-  // non-increasing in M; its minimum over [lo, hi] is at hi.
+std::int64_t MonolithicStrategy::best_block(Cycles tau0, Cycles deadline,
+                                            bool first_feasible) const {
+  const std::int64_t hi = max_block_size(tau0, deadline);
   const double v = static_cast<double>(pipeline_.simd_width());
-  double relaxed = 0.0;
-  for (NodeIndex i = 0; i < pipeline_.size(); ++i) {
-    if (total_gains_[i] <= 0.0) continue;
-    relaxed += std::max(total_gains_[i] * pipeline_.service_time(i) / v,
-                        pipeline_.service_time(i) / static_cast<double>(hi));
+  // The exact expressions of mean_block_service and is_block_feasible, so
+  // that run boundaries and deadline checks agree with them bit for bit.
+  const auto firings = [&](std::int64_t m, NodeIndex i) {
+    return std::ceil(static_cast<double>(m) * total_gains_[i] / v);
+  };
+  const auto meets_deadline = [&](std::int64_t m, Cycles tbar) {
+    return config_.b * static_cast<double>(m) * tau0 + config_.S * tbar <=
+           deadline;
+  };
+  // Largest m in [first, last] with ok(m), from a closed-form estimate
+  // corrected by unit steps; ok must hold at first and switch from true to
+  // false at most once.
+  const auto last_where = [](std::int64_t first, std::int64_t last,
+                             double estimate, const auto& ok) {
+    std::int64_t m = estimate >= static_cast<double>(last)
+                         ? last
+                         : std::max(first, static_cast<std::int64_t>(
+                                               std::max(estimate, 0.0)));
+    while (m < last && ok(m + 1)) ++m;
+    while (m > first && !ok(m)) --m;
+    return m;
+  };
+
+  std::int64_t best = 0;
+  double best_value = 0.0;
+  for (std::int64_t start = 1; start <= hi;) {
+    const Cycles tbar = mean_block_service(start);
+    // b*M*tau0 + S*Tbar(M) never falls as M grows: once a run's first block
+    // misses the deadline, every later block does too.
+    if (!meets_deadline(start, tbar)) break;
+    std::int64_t end = hi;
+    for (NodeIndex i = 0; i < pipeline_.size(); ++i) {
+      if (total_gains_[i] <= 0.0) continue;
+      const double k = firings(start, i);
+      end = last_where(start, end, std::floor(k * v / total_gains_[i]),
+                       [&](std::int64_t m) { return firings(m, i) <= k; });
+    }
+    const std::int64_t block = last_where(
+        start, end,
+        std::floor((deadline - config_.S * tbar) / (config_.b * tau0)),
+        [&](std::int64_t m) { return meets_deadline(m, tbar); });
+    if (is_block_feasible(block, tau0, deadline)) {
+      if (first_feasible) return block;
+      const double value = active_fraction(block, tau0);
+      if (best == 0 || value < best_value) {
+        best = block;
+        best_value = value;
+      }
+    }
+    start = end + 1;
   }
-  relaxed /= tau0;
-  // Tbar non-decreasing: Tbar(M)/(M*tau0) >= Tbar(lo)/(hi*tau0) on [lo, hi].
-  const double monotone =
-      mean_block_service(lo) / (static_cast<double>(hi) * tau0);
-  return std::max(relaxed, monotone);
+  return best;
 }
 
 bool MonolithicStrategy::is_feasible(Cycles tau0, Cycles deadline) const {
   // Tbar(M) >= M * c, so tau0 < c makes every block unstable.
   if (tau0 < service_per_input_floor_) return false;
-  const std::int64_t hi = max_block_size(tau0, deadline);
-  for (std::int64_t m = 1; m <= hi; ++m) {
-    if (is_block_feasible(m, tau0, deadline)) return true;
-  }
-  return false;
+  return best_block(tau0, deadline, /*first_feasible=*/true) > 0;
 }
 
-MonolithicSchedule MonolithicStrategy::make_schedule(
-    std::int64_t block_size, Cycles tau0, std::uint64_t evaluations) const {
+MonolithicSchedule MonolithicStrategy::make_schedule(std::int64_t block_size,
+                                                     Cycles tau0) const {
   MonolithicSchedule schedule;
   schedule.block_size = block_size;
   schedule.mean_block_service = mean_block_service(block_size);
@@ -104,20 +136,18 @@ MonolithicSchedule MonolithicStrategy::make_schedule(
   schedule.worst_case_latency =
       config_.b * static_cast<double>(block_size) * tau0 +
       schedule.worst_block_service;
-  schedule.candidates_scanned = evaluations;
   return schedule;
 }
 
 util::Result<MonolithicSchedule> MonolithicStrategy::solve(
-    Cycles tau0, Cycles deadline, const WarmStart* warm) const {
+    Cycles tau0, Cycles deadline) const {
   using R = util::Result<MonolithicSchedule>;
   RIPPLE_REQUIRE(tau0 > 0.0, "tau0 must be positive");
   RIPPLE_REQUIRE(deadline > 0.0, "deadline must be positive");
 
   if (tau0 < service_per_input_floor_) {
     // Tbar(M) >= M * c: below the asymptotic service floor no block is ever
-    // stable, so don't walk the scan at all (the old code burned the whole
-    // [1, hi] range here for every infeasible fast-arrival cell).
+    // stable.
     return R::failure("infeasible",
                       "unstable at any block: tau0 = " +
                           util::format_double(tau0, 3) +
@@ -131,87 +161,14 @@ util::Result<MonolithicSchedule> MonolithicStrategy::solve(
                           util::format_double(config_.b * tau0, 3) +
                           " exceeds D = " + util::format_double(deadline, 3));
   }
-  const auto objective = [&](std::int64_t m) -> std::optional<double> {
-    if (!is_block_feasible(m, tau0, deadline)) return std::nullopt;
-    return active_fraction(m, tau0);
-  };
-
-  opt::IntegerResult found;
-  bool solved_warm = false;
-  if (warm != nullptr && warm->has_monolithic_hint()) {
-    // Ringed search: scan a window around the hinted block for an
-    // incumbent, then let branch-and-bound prove global (lexicographic)
-    // optimality over [1, hi]. The interval bound Tbar(a)/(b*tau0) is tight
-    // on narrow intervals, so a near-optimal incumbent prunes nearly the
-    // whole range. Falls back to the cold scan unless the proof completed,
-    // so the result always matches the scan bit for bit.
-    const std::int64_t ring = std::max<std::int64_t>(64, hi / 128);
-    const std::int64_t ring_lo = std::max<std::int64_t>(1, warm->block_size - ring);
-    const std::int64_t ring_hi = std::min(hi, warm->block_size + ring);
-    opt::IntegerResult ringed;
-    if (ring_lo <= ring_hi) {
-      ringed = opt::minimize_integer_scan(ring_lo, ring_hi, objective);
-    }
-    opt::BranchAndBoundOptions options;
-    if (ringed.feasible) {
-      options.incumbent_argmin = ringed.argmin;
-      options.incumbent_value = ringed.value;
-    }
-    opt::IntegerResult bnb = opt::branch_and_bound_minimize(
-        1, hi, objective,
-        [&](std::int64_t interval_lo, std::int64_t interval_hi) {
-          return interval_bound(interval_lo, interval_hi, tau0);
-        },
-        options);
-    if (bnb.complete) {
-      bnb.evaluations += ringed.evaluations;
-      found = bnb;
-      solved_warm = true;
-    }
-  }
-  if (!solved_warm) {
-    found = opt::minimize_integer_scan(1, hi, objective);
-  }
-  if (!found.feasible) {
+  const std::int64_t block =
+      best_block(tau0, deadline, /*first_feasible=*/false);
+  if (block == 0) {
     return R::failure("infeasible",
                       "no block size in [1, " + std::to_string(hi) +
                           "] satisfies stability + deadline");
   }
-  return make_schedule(found.argmin, tau0, found.evaluations);
-}
-
-util::Result<MonolithicSchedule> MonolithicStrategy::solve_branch_and_bound(
-    Cycles tau0, Cycles deadline) const {
-  using R = util::Result<MonolithicSchedule>;
-  const std::int64_t hi = max_block_size(tau0, deadline);
-  if (hi < 1) {
-    return R::failure("infeasible", "deadline admits no block");
-  }
-
-  const auto found = opt::branch_and_bound_minimize(
-      1, hi,
-      [&](std::int64_t m) -> std::optional<double> {
-        if (!is_block_feasible(m, tau0, deadline)) return std::nullopt;
-        return active_fraction(m, tau0);
-      },
-      [&](std::int64_t interval_lo, std::int64_t interval_hi) {
-        return interval_bound(interval_lo, interval_hi, tau0);
-      });
-  if (!found.complete) {
-    // The node budget ran out with intervals still open: the incumbent (if
-    // any) is not certified optimal, so refuse to dress it up as a solution.
-    return R::failure(
-        "incomplete",
-        "branch-and-bound exhausted its node budget over [1, " +
-            std::to_string(hi) + "]; incumbent " +
-            (found.feasible ? "value " + util::format_double(found.value, 6)
-                            : "absent") +
-            " is not certified optimal");
-  }
-  if (!found.feasible) {
-    return R::failure("infeasible", "branch-and-bound found no feasible block");
-  }
-  return make_schedule(found.argmin, tau0, found.evaluations);
+  return make_schedule(block, tau0);
 }
 
 }  // namespace ripple::core

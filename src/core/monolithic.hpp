@@ -15,11 +15,17 @@
 //
 // where b counts whole blocks that may queue ahead of an item and S scales
 // mean to worst-case block service time.
+//
+// Tbar is a step function of M: it is constant on runs of M over which
+// every ceil(M * G_i / v) is constant. Within a run the objective falls and
+// the stability side relaxes as M grows, so the run's best block is its
+// largest deadline-feasible M. solve() walks the runs in order and keeps
+// the first strict minimum, which is exactly the block a scan over every M
+// would pick.
 #pragma once
 
 #include <cstdint>
 
-#include "core/warm_start.hpp"
 #include "sdf/pipeline.hpp"
 #include "util/result.hpp"
 #include "util/types.hpp"
@@ -37,10 +43,7 @@ struct MonolithicSchedule {
   Cycles mean_block_service = 0.0;        ///< Tbar(M)
   Cycles worst_block_service = 0.0;       ///< S * Tbar(M)
   Cycles worst_case_latency = 0.0;        ///< b*M*tau0 + S*Tbar(M)
-  std::uint64_t candidates_scanned = 0;
 };
-
-class EnforcedWaitsStrategy;  // for cross-references in docs only
 
 class MonolithicStrategy {
  public:
@@ -65,42 +68,21 @@ class MonolithicStrategy {
   /// Largest M the deadline can possibly admit. The deadline constraint is
   /// b*M*tau0 + S*Tbar(M) <= D and Tbar(M) >= M * c with c the per-input
   /// service floor sum_i G_i t_i / v (every ceil() rounded down), so
-  /// M <= D / (b*tau0 + S*c). This is far tighter than the old b*M*tau0
-  /// bound alone, which let the scans walk millions of blocks that could
-  /// never pass is_block_feasible; since every excluded M is infeasible,
-  /// no argmin ever changes.
+  /// M <= D / (b*tau0 + S*c); every excluded M is infeasible.
   std::int64_t max_block_size(Cycles tau0, Cycles deadline) const;
 
-  /// Exact optimizer: exhaustive scan over [1, max_block_size].
-  ///
-  /// `warm` optionally carries a neighboring cell's block size (see
-  /// warm_start.hpp): a ringed scan around the hint primes a
-  /// branch-and-bound incumbent, and the relaxation bound then proves
-  /// global optimality with the scan's lexicographic (value, argmin)
-  /// tie-break — so the warm result is bit-identical to the cold scan, and
-  /// any incomplete proof falls back to the scan itself. Only
-  /// `candidates_scanned` may differ between warm and cold.
-  util::Result<MonolithicSchedule> solve(Cycles tau0, Cycles deadline,
-                                         const WarmStart* warm = nullptr) const;
-
-  /// Same optimum via interval branch-and-bound (the BONMIN-style driver);
-  /// exists to cross-validate the scan and exercise the MINLP substrate.
-  /// Failure code "incomplete" when the node budget was exhausted before
-  /// optimality was proven — the incumbent, if any, is reported in the
-  /// message but never returned as if it were optimal.
-  util::Result<MonolithicSchedule> solve_branch_and_bound(Cycles tau0,
-                                                          Cycles deadline) const;
+  /// Exact optimizer over [1, max_block_size]: the run walk described at
+  /// the top of this file. Ties go to the smallest block.
+  util::Result<MonolithicSchedule> solve(Cycles tau0, Cycles deadline) const;
 
  private:
-  MonolithicSchedule make_schedule(std::int64_t block_size, Cycles tau0,
-                                   std::uint64_t evaluations) const;
+  MonolithicSchedule make_schedule(std::int64_t block_size, Cycles tau0) const;
 
-  /// Lower bound on the active fraction over block sizes in [lo, hi].
-  /// Tbar is non-decreasing, so Tbar(M)/(M*tau0) >= Tbar(lo)/(hi*tau0) on the
-  /// interval; combined with the asymptotic relaxation sum_i G_i t_i / v this
-  /// is tight enough on narrow intervals for a near-optimal incumbent to
-  /// prune nearly everything.
-  double interval_bound(std::int64_t lo, std::int64_t hi, Cycles tau0) const;
+  /// The run walk: the optimal feasible block in [1, max_block_size], or 0
+  /// when there is none. With `first_feasible` it stops at the first
+  /// feasible block instead.
+  std::int64_t best_block(Cycles tau0, Cycles deadline,
+                          bool first_feasible) const;
 
   sdf::PipelineSpec pipeline_;
   MonolithicConfig config_;

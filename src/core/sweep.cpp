@@ -1,6 +1,5 @@
 #include "core/sweep.hpp"
 
-#include <algorithm>
 #include <ostream>
 
 #include "util/assert.hpp"
@@ -80,38 +79,23 @@ SweepSurface run_sweep(const sdf::PipelineSpec& pipeline,
   const MonolithicStrategy monolithic(pipeline, monolithic_config);
 
   const std::size_t d_count = grid.deadline_values.size();
-  const std::size_t t_count = grid.tau0_values.size();
   std::vector<SweepCell> cells(grid.cell_count());
 
 #if RIPPLE_OBS
-  // Handles resolved once per sweep; workers only touch atomics. The gauge
-  // tracks thread-pool occupancy (tiles currently being solved).
-  struct ObsHandles {
-    obs::Counter* cells_solved = nullptr;
-    obs::Counter* warm_hinted = nullptr;
-    obs::Counter* cold = nullptr;
-    obs::LatencyHistogram* cell_solve_us = nullptr;
-    obs::Gauge* active_workers = nullptr;
-  };
-  ObsHandles obs_handles;
+  // Handles resolved once per sweep; workers only touch atomics.
+  obs::Counter* cells_solved = nullptr;
+  obs::LatencyHistogram* cell_solve_us = nullptr;
   if (obs::enabled()) {
     auto& registry = obs::Registry::global();
-    obs_handles.cells_solved = registry.counter("sweep.cells_solved");
-    obs_handles.warm_hinted = registry.counter("sweep.warm_hinted_solves");
-    obs_handles.cold = registry.counter("sweep.cold_solves");
-    obs_handles.cell_solve_us = registry.histogram("sweep.cell_solve_us");
-    obs_handles.active_workers = registry.gauge("sweep.active_workers");
+    cells_solved = registry.counter("sweep.cells_solved");
+    cell_solve_us = registry.histogram("sweep.cell_solve_us");
   }
 #endif
 
-  // Solve one cell, optionally warm-started, and refresh the carried hint
-  // with this cell's solution when feasible. A stale hint (left over from
-  // the last feasible cell before an infeasible stretch) is harmless: the
-  // solvers certify or reject it, they never trust it.
-  auto solve_cell = [&](std::size_t ti, std::size_t di, WarmStart* warm) {
+  auto solve_cell = [&](std::size_t index) {
     SweepCell cell;
-    cell.tau0 = grid.tau0_values[ti];
-    cell.deadline = grid.deadline_values[di];
+    cell.tau0 = grid.tau0_values[index / d_count];
+    cell.deadline = grid.deadline_values[index % d_count];
 
 #if RIPPLE_OBS
     obs::TraceWriter trace = obs::TraceWriter::for_current_thread();
@@ -121,100 +105,39 @@ SweepSurface run_sweep(const sdf::PipelineSpec& pipeline,
       trace.begin(obs::Domain::kHost, trace.track(), "cell_solve",
                   solve_begin_us);
     }
-    if (obs_handles.cells_solved != nullptr) {
-      const bool hinted = warm != nullptr && (warm->has_enforced_hint() ||
-                                              warm->has_monolithic_hint());
-      obs_handles.cells_solved->increment();
-      (hinted ? obs_handles.warm_hinted : obs_handles.cold)->increment();
-    }
+    if (cells_solved != nullptr) cells_solved->increment();
 #endif
 
-    if (auto solved = enforced.solve(cell.tau0, cell.deadline, warm);
-        solved.ok()) {
+    if (auto solved = enforced.solve(cell.tau0, cell.deadline); solved.ok()) {
       cell.enforced_feasible = true;
       cell.enforced_active_fraction = solved.value().predicted_active_fraction;
-      if (warm != nullptr) {
-        warm->firing_intervals = std::move(solved.value().firing_intervals);
-      }
     }
-    if (auto solved = monolithic.solve(cell.tau0, cell.deadline, warm);
-        solved.ok()) {
+    if (auto solved = monolithic.solve(cell.tau0, cell.deadline); solved.ok()) {
       cell.monolithic_feasible = true;
       cell.monolithic_active_fraction = solved.value().predicted_active_fraction;
       cell.monolithic_block = solved.value().block_size;
-      if (warm != nullptr) warm->block_size = solved.value().block_size;
     }
-    cells[ti * d_count + di] = cell;
+    cells[index] = cell;
 
 #if RIPPLE_OBS
     if (trace.active()) {
       const double solve_end_us = obs::TraceSession::global().host_now_us();
       trace.end(obs::Domain::kHost, trace.track(), "cell_solve", solve_end_us);
-      if (obs_handles.cell_solve_us != nullptr) {
-        obs_handles.cell_solve_us->record(solve_end_us - solve_begin_us);
+      if (cell_solve_us != nullptr) {
+        cell_solve_us->record(solve_end_us - solve_begin_us);
       }
-    }
-#endif
-  };
-
-  // One work item per tile of consecutive tau0 rows, walked in snake order
-  // so consecutive solves are always grid neighbors. Tiles share nothing,
-  // which keeps parallel_for's grain-independence contract intact.
-  const std::size_t tile_rows = std::max<std::size_t>(1, options.tile_rows);
-  const std::size_t tile_count = (t_count + tile_rows - 1) / tile_rows;
-  auto solve_tile = [&](std::size_t tile) {
-#if RIPPLE_OBS
-    obs::TraceWriter trace = obs::TraceWriter::for_current_thread();
-    if (trace.active()) {
-      auto& session = obs::TraceSession::global();
-      session.set_track_name(obs::Domain::kHost, trace.track(),
-                             "sweep worker " + std::to_string(trace.track()));
-      trace.begin(obs::Domain::kHost, trace.track(), "tile",
-                  session.host_now_us());
-    }
-    if (obs_handles.active_workers != nullptr) {
-      obs_handles.active_workers->add(1.0);
-    }
-#endif
-    const std::size_t t_begin = tile * tile_rows;
-    const std::size_t t_end = std::min(t_begin + tile_rows, t_count);
-    WarmStart carry;
-    WarmStart* warm = options.warm_start ? &carry : nullptr;
-    for (std::size_t ti = t_begin; ti < t_end; ++ti) {
-      const bool reversed = (ti - t_begin) % 2 == 1;
-      for (std::size_t k = 0; k < d_count; ++k) {
-        const std::size_t di = reversed ? d_count - 1 - k : k;
-        solve_cell(ti, di, warm);
-      }
-    }
-#if RIPPLE_OBS
-    if (obs_handles.active_workers != nullptr) {
-      obs_handles.active_workers->add(-1.0);
-    }
-    if (trace.active()) {
-      trace.end(obs::Domain::kHost, trace.track(), "tile",
-                obs::TraceSession::global().host_now_us());
     }
 #endif
   };
 
   if (options.pool != nullptr) {
-    options.pool->parallel_for(tile_count, solve_tile, options.grain);
+    options.pool->parallel_for(cells.size(), solve_cell, options.grain);
   } else {
-    for (std::size_t tile = 0; tile < tile_count; ++tile) solve_tile(tile);
+    for (std::size_t index = 0; index < cells.size(); ++index) {
+      solve_cell(index);
+    }
   }
   return SweepSurface(grid, std::move(cells));
-}
-
-SweepSurface run_sweep(const sdf::PipelineSpec& pipeline,
-                       const EnforcedWaitsConfig& enforced_config,
-                       const MonolithicConfig& monolithic_config,
-                       const SweepGrid& grid, util::ThreadPool* pool,
-                       std::size_t grain) {
-  SweepOptions options;
-  options.pool = pool;
-  options.grain = grain;
-  return run_sweep(pipeline, enforced_config, monolithic_config, grid, options);
 }
 
 DominanceSummary summarize_dominance(const SweepSurface& surface) {

@@ -6,10 +6,9 @@
 // charged an active fraction of 1.0 (an infeasible strategy cannot yield any
 // processor time because it cannot even keep up).
 //
-// On RIPPLE_OBS builds with recording enabled, the sweep emits host-domain
-// "cell_solve" and per-worker "tile" trace spans and feeds the `sweep.*`
-// metrics — cells solved, warm-hinted vs cold solve counts, per-cell solve
-// latency, and thread-pool occupancy (docs/OBSERVABILITY.md).
+// On RIPPLE_OBS builds with recording enabled, the sweep emits a host-domain
+// "cell_solve" trace span per cell and feeds the `sweep.*` metrics — cells
+// solved and per-cell solve latency (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstdint>
@@ -98,22 +97,11 @@ struct DominanceSummary {
 
 /// Execution knobs for run_sweep.
 struct SweepOptions {
-  /// Thread WarmStart hints between neighboring cells. Each worker owns a
-  /// tile of consecutive tau0 rows and walks it in snake order (alternating
-  /// deadline direction per row), so every solve's hint comes from the
-  /// grid-adjacent cell just visited and tiles never share state across
-  /// threads. Hints are certificate-gated in the solvers, so the surface is
-  /// bit-identical to a cold sweep — warm starting only changes the time to
-  /// compute it (see the golden-surface test and BENCH_sweep.json).
-  bool warm_start = true;
-  /// tau0 rows per tile (the unit of parallel work). More rows per tile
-  /// means longer warm-start chains but fewer parallel work items.
-  std::size_t tile_rows = 4;
   /// Null = serial.
   util::ThreadPool* pool = nullptr;
-  /// Consecutive tiles a worker claims per atomic fetch (cell outputs are
-  /// index-addressed and hints never change results, so neither the grain
-  /// nor the thread count changes the surface).
+  /// Consecutive cells a worker claims per atomic fetch (cell outputs are
+  /// index-addressed, so neither the grain nor the thread count changes the
+  /// surface).
   std::size_t grain = 1;
 };
 
@@ -121,14 +109,7 @@ struct SweepOptions {
 SweepSurface run_sweep(const sdf::PipelineSpec& pipeline,
                        const EnforcedWaitsConfig& enforced_config,
                        const MonolithicConfig& monolithic_config,
-                       const SweepGrid& grid, const SweepOptions& options);
-
-/// Back-compat wrapper: warm-started defaults with the given pool/grain.
-SweepSurface run_sweep(const sdf::PipelineSpec& pipeline,
-                       const EnforcedWaitsConfig& enforced_config,
-                       const MonolithicConfig& monolithic_config,
-                       const SweepGrid& grid, util::ThreadPool* pool = nullptr,
-                       std::size_t grain = 1);
+                       const SweepGrid& grid, const SweepOptions& options = {});
 
 DominanceSummary summarize_dominance(const SweepSurface& surface);
 

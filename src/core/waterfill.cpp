@@ -137,6 +137,101 @@ util::Result<WaterfillSolution> waterfill_solve_chained(
   return solution;
 }
 
+util::Result<WaterfillSolution> waterfill_solve_pooled(
+    const sdf::PipelineSpec& pipeline, const std::vector<double>& b,
+    Cycles tau0, Cycles deadline) {
+  using R = util::Result<WaterfillSolution>;
+  const std::size_t n = pipeline.size();
+  RIPPLE_REQUIRE(b.size() == n, "one b multiplier per node");
+  RIPPLE_REQUIRE(tau0 > 0.0 && deadline > 0.0, "parameters must be positive");
+
+  // z_i = G_i x_i with G the cumulative gain, reset to 1 after a zero-gain
+  // edge: the chain constraint g_{i-1} x_i <= x_{i-1} becomes z_i <= z_{i-1},
+  // t_i / x_i = T_i / z_i and b_i x_i = B_i z_i, and the bound x_i >= t_i
+  // becomes z_i >= T_i.
+  std::vector<std::uint8_t> segment_start(n, 1);
+  std::vector<double> t(n), budget_weight(n);
+  double gain = 1.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && pipeline.mean_gain(i - 1) > 0.0) {
+      segment_start[i] = 0;
+      gain *= pipeline.mean_gain(i - 1);
+    } else {
+      gain = 1.0;
+    }
+    t[i] = pipeline.service_time(i) * gain;
+    budget_weight[i] = b[i] / gain;
+  }
+  const double rate_cap = static_cast<double>(pipeline.simd_width()) * tau0;
+
+  // Pool adjacent violators: push each node as its own pool at its
+  // unconstrained optimum, and merge it into the previous pool of its
+  // segment while that one sits strictly below it (z must not increase).
+  // Merging on equality would activate chain edges the exact solve leaves
+  // free, which moves the last bits of the answer.
+  struct Pool {
+    std::size_t first;     ///< first node; the pool runs to the next one
+    double t, b;           ///< sum T and sum B over the pool
+    double lower, upper;   ///< max lo and min hi over the pool
+    double z;
+  };
+  std::vector<Pool> pools;
+  pools.reserve(n);
+  auto pool_at = [&](double lambda) {
+    pools.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      Pool pool{i, t[i], budget_weight[i], t[i],
+                i == 0 ? rate_cap : kUnboundedCycles, 0.0};
+      for (;;) {
+        pool.z = std::min(
+            std::max(std::sqrt(pool.t / (lambda * pool.b)), pool.lower),
+            pool.upper);
+        if (segment_start[pool.first] != 0 || pools.back().z >= pool.z) break;
+        const Pool& previous = pools.back();
+        pool.first = previous.first;
+        pool.t += previous.t;
+        pool.b += previous.b;
+        pool.lower = std::max(pool.lower, previous.lower);
+        pool.upper = std::min(pool.upper, previous.upper);
+        pools.pop_back();
+      }
+      pools.push_back(pool);
+    }
+    double budget = 0.0;
+    for (const Pool& pool : pools) budget += pool.b * pool.z;
+    return budget;
+  };
+
+  // Same bracket and bisection as waterfill_solve_chained; budget usage is
+  // non-increasing in lambda.
+  double lambda_lo = 1e-30;
+  double lambda_hi = 1.0;
+  while (pool_at(lambda_hi) > deadline) {
+    lambda_hi *= 16.0;
+    if (!std::isfinite(lambda_hi)) {
+      return R::failure("infeasible", "deadline below the minimal budget");
+    }
+  }
+  if (pool_at(lambda_lo) > deadline) {
+    for (int iter = 0; iter < 500; ++iter) {
+      const double mid = std::sqrt(lambda_lo * lambda_hi);
+      if (pool_at(mid) > deadline) lambda_lo = mid;
+      else lambda_hi = mid;
+      if (lambda_hi / lambda_lo < 1.0 + 1e-15) break;
+    }
+    (void)pool_at(lambda_hi);
+  }
+
+  // The pools are the active chain set; the chained closed form turns it
+  // into the returned intervals.
+  std::vector<std::uint8_t> chain_active(n, 1);
+  for (const Pool& pool : pools) chain_active[pool.first] = 0;
+  auto solved =
+      waterfill_solve_chained(pipeline, b, tau0, deadline, chain_active);
+  if (solved.ok()) solved.value().chain_active = std::move(chain_active);
+  return solved;
+}
+
 util::Result<WaterfillSolution> waterfill_solve(const sdf::PipelineSpec& pipeline,
                                                 const std::vector<double>& b,
                                                 Cycles tau0, Cycles deadline) {

@@ -1,30 +1,30 @@
-// Exact water-filling solution of the enforced-waits problem when the chain
-// constraints are inactive — and, via waterfill_solve_chained, when a known
-// subset of them is active.
+// Exact solves of the enforced-waits problem (paper Figure 1):
 //
-// Dropping the chain couplings from Figure 1 leaves a separable convex
-// program:
+//     min sum_i t_i / x_i   s.t.   sum_i b_i x_i <= D,  l_i <= x_i <= u_i,
+//                                  g_{i-1} x_i <= x_{i-1}  (positive gains)
 //
-//     min sum_i t_i / x_i   s.t.   sum_i b_i x_i <= D,  l_i <= x_i <= u_i
+// with l_i = t_i, u_0 = v * tau0, u_{i>0} = inf.
 //
-// with l_i = t_i, u_0 = v * tau0, u_{i>0} = inf. Its KKT conditions give the
-// closed form  x_i(lambda) = clamp(sqrt(t_i / (lambda b_i)), l_i, u_i)  with
-// the single multiplier lambda chosen so the budget binds; the budget usage
-// is strictly decreasing in lambda, so bisection recovers lambda to machine
-// precision. When the resulting point also satisfies the chain constraints
-// — the common case away from the feasibility frontier — it is the exact
-// optimum of the full problem; otherwise the caller falls back to the
-// barrier solver (EnforcedWaitsStrategy does this automatically).
+// waterfill_solve drops the chain constraints. The KKT conditions then give
+// x_i(lambda) = clamp(sqrt(t_i / (lambda b_i)), l_i, u_i) with one budget
+// multiplier lambda; budget usage is decreasing in lambda, so bisection
+// recovers lambda to machine precision.
 //
-// The chained variant generalizes the closed form to a prescribed active
-// chain set: nodes linked by an active equality x_{i-1} = g_{i-1} x_i merge
-// into a block with one representative variable y (the last node's
-// interval), aggregated objective weight T_B = sum t_j / r_j, budget weight
-// B_B = sum b_j r_j and bounds folded through the ratios r_j. The reduced
-// problem is separable again, so the same single-lambda bisection solves it
-// exactly. Combined with a KKT certificate on the full problem this turns a
-// guessed active set (e.g. a warm-start neighbor's) into an exact,
-// deterministic optimum — the basis of the sweep warm-start path.
+// waterfill_solve_chained holds a given set of chain constraints as
+// equalities. Nodes linked by an active edge merge into a block with one
+// representative variable y (the last node's interval), objective weight
+// T_B = sum t_j / r_j, budget weight B_B = sum b_j r_j and bounds folded
+// through the ratios r_j. The reduced problem is separable again, so the
+// same bisection solves it.
+//
+// waterfill_solve_pooled finds the active set. In z_i = G_i x_i (G the
+// cumulative gain, reset after each zero-gain edge) the chain constraints
+// say z is non-increasing along each segment, so for a fixed lambda the
+// problem is a separable convex isotonic program that pool-adjacent-
+// violators solves exactly in O(N) (Best, Chakravarti & Ubhaya, SIAM J.
+// Optim. 2000). Bisecting lambda over the pooled solve gives the optimal
+// pools, i.e. the active chain set, and waterfill_solve_chained on that set
+// gives the returned intervals.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +41,8 @@ struct WaterfillSolution {
   double lambda = 0.0;                   ///< budget multiplier
   double active_fraction = 1.0;
   bool chain_feasible = false;  ///< true -> exact optimum of the full problem
-  /// The chain set this point was solved against (empty for the plain
-  /// solver); callers iterating over active sets carry it here.
+  /// The active chain set found by waterfill_solve_pooled (empty for the
+  /// other solves).
   std::vector<std::uint8_t> chain_active;
 };
 
@@ -63,5 +63,12 @@ util::Result<WaterfillSolution> waterfill_solve(const sdf::PipelineSpec& pipelin
 util::Result<WaterfillSolution> waterfill_solve_chained(
     const sdf::PipelineSpec& pipeline, const std::vector<double>& b,
     Cycles tau0, Cycles deadline, const std::vector<std::uint8_t>& chain_active);
+
+/// Solve the full problem exactly: pool adjacent violators in z-space to
+/// find the active chain set, then return waterfill_solve_chained on it
+/// with `chain_active` set. Failure code "infeasible" as above.
+util::Result<WaterfillSolution> waterfill_solve_pooled(
+    const sdf::PipelineSpec& pipeline, const std::vector<double>& b,
+    Cycles tau0, Cycles deadline);
 
 }  // namespace ripple::core

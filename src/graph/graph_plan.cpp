@@ -201,13 +201,11 @@ linalg::Vector GraphPlanner::interior_start(Cycles tau0,
   return {};
 }
 
-linalg::Vector GraphPlanner::per_path_warm_start(
+linalg::Vector GraphPlanner::per_path_start(
     Cycles tau0, Cycles deadline, const opt::ConvexProblem& problem) const {
   // Solve each root->sink path's chain problem and take the per-node max.
-  // Shared prefixes warm each solve with the running combination, so a path
-  // that only differs in its tail reuses the prefix's active-set guess. The
-  // combination can violate a path budget (maxima only raise sums), so it
-  // is only used when strictly interior for the full problem.
+  // The combination can violate a path budget (maxima only raise sums), so
+  // it is only used when strictly interior for the full problem.
   linalg::Vector combined(graph_.size(), 0.0);
   std::vector<char> touched(graph_.size(), 0);
   for (const GraphPath& path : paths_) {
@@ -227,15 +225,7 @@ linalg::Vector GraphPlanner::per_path_warm_start(
     if (!pipeline.ok()) continue;
     core::EnforcedWaitsStrategy chain(std::move(pipeline).take(), chain_config);
 
-    core::WarmStart warm;
-    bool any_touched = false;
-    warm.firing_intervals.reserve(path.nodes.size());
-    for (NodeIndex u : path.nodes) {
-      warm.firing_intervals.push_back(touched[u] ? combined[u]
-                                                 : minimal_intervals_[u]);
-      any_touched = any_touched || touched[u];
-    }
-    auto solved = chain.solve(tau0, deadline, any_touched ? &warm : nullptr);
+    auto solved = chain.solve(tau0, deadline);
     if (!solved.ok()) continue;
     for (std::size_t p = 0; p < path.nodes.size(); ++p) {
       const NodeIndex u = path.nodes[p];
@@ -326,11 +316,12 @@ util::Result<GraphSchedule> GraphPlanner::solve(Cycles tau0,
     return make_schedule(minimal_intervals_, problem);
   }
 
-  // Warm start from the per-path chain solves when the combination stays
+  // Start from the per-path chain solves when the combination stays
   // strictly interior; otherwise fall back to the generic interior point.
-  linalg::Vector warm = per_path_warm_start(tau0, deadline, problem);
-  auto solved = opt::barrier_minimize(problem, warm.empty() ? start : warm);
-  if (!solved.ok() && !warm.empty()) {
+  linalg::Vector path_start = per_path_start(tau0, deadline, problem);
+  auto solved =
+      opt::barrier_minimize(problem, path_start.empty() ? start : path_start);
+  if (!solved.ok() && !path_start.empty()) {
     solved = opt::barrier_minimize(problem, start);
   }
   if (!solved.ok()) {

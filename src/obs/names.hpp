@@ -23,7 +23,6 @@ inline constexpr std::string_view kSpanNames[] = {
     "service",        // runtime executor: one consuming firing (sim domain)
     "trial",          // trial_runner: one simulated trial (host domain)
     "cell_solve",     // sweep: one (tau0, D) cell solve (host domain)
-    "tile",           // sweep: one traversal tile (host domain)
     "service.batch",  // service worker: one ingest batch execution (host)
     "control.replan", // controller: one enforced-waits re-solve (host)
     "journal.commit", // arrival journal: one group-commit write (host)

@@ -6,7 +6,10 @@
 // feasibility. The duality-gap proxy m*mu bounds suboptimality for convex f,
 // so the final mu determines solution accuracy.
 //
-// This is the repo's stand-in for the paper's BONMIN continuous solves.
+// This is the repo's stand-in for the paper's BONMIN continuous solves. Its
+// only production use is planning DAGs with more than one root-to-sink path
+// (graph/graph_plan); chains are solved in closed form (core/waterfill.hpp),
+// and tests use this solver as their independent oracle.
 #pragma once
 
 #include "opt/problem.hpp"

@@ -8,6 +8,55 @@
 
 namespace ripple::opt {
 
+namespace {
+
+/// Multipliers lambda for a set of active normals a_j, with the KKT error
+/// they witness: stationarity ||g + sum_j lambda_j a_j||_inf and the most
+/// negative multiplier.
+struct MultiplierFit {
+  bool ok = false;
+  double residual = 0.0;
+  double min_multiplier = 0.0;
+  std::size_t most_negative = 0;  ///< index of min_multiplier when < 0
+
+  double error() const { return std::max(residual, -min_multiplier); }
+};
+
+/// Least-squares multipliers: minimize ||g + A^T lambda||_2 over lambda,
+/// i.e. solve (A A^T) lambda = -A g. Regularize lightly in case active
+/// normals are linearly dependent.
+MultiplierFit fit_multipliers(const std::vector<linalg::Vector>& normals,
+                              const linalg::Vector& g) {
+  const std::size_t k = normals.size();
+  if (k == 0) return MultiplierFit{true, linalg::norm_inf(g), 0.0, 0};
+  MultiplierFit fit;
+  linalg::Matrix gram(k, k);
+  linalg::Vector rhs(k, 0.0);
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < k; ++j) {
+      gram(i, j) = linalg::dot(normals[i], normals[j]);
+    }
+    rhs[i] = -linalg::dot(normals[i], g);
+  }
+  gram.add_diagonal(1e-12);
+  auto lambda = linalg::solve_lu(gram, rhs);
+  if (!lambda.ok()) return fit;
+
+  linalg::Vector residual = g;
+  for (std::size_t i = 0; i < k; ++i) {
+    linalg::axpy(residual, lambda.value()[i], normals[i]);
+    if (lambda.value()[i] < fit.min_multiplier) {
+      fit.min_multiplier = lambda.value()[i];
+      fit.most_negative = i;
+    }
+  }
+  fit.residual = linalg::norm_inf(residual);
+  fit.ok = true;
+  return fit;
+}
+
+}  // namespace
+
 KktReport check_kkt(const ConvexProblem& problem, const linalg::Vector& x,
                     double active_tolerance) {
   RIPPLE_REQUIRE(x.size() == problem.dimension(), "point dimension mismatch");
@@ -42,42 +91,29 @@ KktReport check_kkt(const ConvexProblem& problem, const linalg::Vector& x,
   }
 
   const linalg::Vector g = problem.gradient(x);
-
-  if (normals.empty()) {
-    report.stationarity_residual = linalg::norm_inf(g);
-    report.min_multiplier = 0.0;
-    return report;
-  }
-
-  // Least-squares multipliers: minimize ||g + A^T lambda||_2 over lambda,
-  // i.e. solve (A A^T) lambda = -A g. Regularize lightly in case active
-  // normals are linearly dependent.
-  const std::size_t k = normals.size();
-  linalg::Matrix gram(k, k);
-  linalg::Vector rhs(k, 0.0);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      gram(i, j) = linalg::dot(normals[i], normals[j]);
-    }
-    rhs[i] = -linalg::dot(normals[i], g);
-  }
-  gram.add_diagonal(1e-12);
-  auto lambda = linalg::solve_lu(gram, rhs);
-  if (!lambda.ok()) {
+  MultiplierFit best = fit_multipliers(normals, g);
+  if (!best.ok) {
     // Degenerate active set; report raw gradient norm as the residual.
     report.stationarity_residual = linalg::norm_inf(g);
     report.min_multiplier = 0.0;
     return report;
   }
-
-  linalg::Vector residual = g;
-  double min_multiplier = 0.0;
-  for (std::size_t i = 0; i < k; ++i) {
-    linalg::axpy(residual, lambda.value()[i], normals[i]);
-    min_multiplier = std::min(min_multiplier, lambda.value()[i]);
+  // At a degenerate vertex (linearly dependent active normals, e.g. a bound
+  // within tolerance of a block of tight chain constraints) the
+  // least-squares fit can split the gradient across the normals with mixed
+  // signs although nonnegative multipliers exist. Drop the most negative
+  // multiplier's constraint and refit, keeping whichever fit witnesses the
+  // smaller KKT error; the report always belongs to one multiplier vector.
+  MultiplierFit fit = best;
+  while (fit.min_multiplier < 0.0) {
+    normals.erase(normals.begin() +
+                  static_cast<std::ptrdiff_t>(fit.most_negative));
+    fit = fit_multipliers(normals, g);
+    if (!fit.ok) break;
+    if (fit.error() < best.error()) best = fit;
   }
-  report.stationarity_residual = linalg::norm_inf(residual);
-  report.min_multiplier = min_multiplier;
+  report.stationarity_residual = best.residual;
+  report.min_multiplier = best.min_multiplier;
   return report;
 }
 

@@ -31,7 +31,7 @@ struct KktReport {
   /// Like satisfied() but with one tolerance per residual: primal
   /// feasibility, stationarity, and multiplier sign live on different
   /// scales (constraint slacks are in cycles, gradients in 1/cycles), so a
-  /// certificate-grade check — e.g. accepting a warm-start candidate as the
+  /// certificate-grade check — e.g. accepting a closed-form point as the
   /// exact optimum — needs them decoupled.
   bool certified(double primal_tolerance, double stationarity_tolerance,
                  double multiplier_tolerance) const {

@@ -5,6 +5,8 @@
 #include <cmath>
 
 #include "blast/canonical.hpp"
+#include "dist/rng.hpp"
+#include "opt/barrier.hpp"
 #include "opt/projected_gradient.hpp"
 #include "sdf/analysis.hpp"
 
@@ -209,73 +211,79 @@ TEST(Solve, SingleNodePipeline) {
   EXPECT_NEAR(solved.value().predicted_active_fraction, 0.5, 1e-4);
 }
 
-TEST(WarmSolve, BitIdenticalToColdAcrossTheGrid) {
-  // Warm hints nominate an active set; the certified canonical solve is the
-  // same deterministic function of (tau0, D, active set) either way, so warm
-  // results must equal cold ones exactly — including the chain-active
-  // small-tau0 cells where the hint actually changes the code path taken.
-  const auto pipeline = blast_pipeline();
-  const EnforcedWaitsStrategy strategy(pipeline, paper_config());
-  WarmStart warm;
-  for (double tau0 : {2.9, 3.0, 3.5, 5.0, 10.0, 30.0, 100.0}) {
-    for (double deadline : {2.4e4, 3e4, 5e4, 1e5, 2e5, 3.5e5}) {
-      auto cold = strategy.solve(tau0, deadline);
-      auto warmed = strategy.solve(tau0, deadline, &warm);
-      ASSERT_EQ(cold.ok(), warmed.ok()) << tau0 << " " << deadline;
-      if (cold.ok()) {
-        const auto& cx = cold.value().firing_intervals;
-        const auto& wx = warmed.value().firing_intervals;
-        ASSERT_EQ(cx.size(), wx.size());
-        for (std::size_t i = 0; i < cx.size(); ++i) {
-          EXPECT_EQ(cx[i], wx[i]) << "node " << i << " tau0=" << tau0
-                                  << " D=" << deadline;
-        }
-        EXPECT_EQ(cold.value().predicted_active_fraction,
-                  warmed.value().predicted_active_fraction);
-        warm.firing_intervals = warmed.value().firing_intervals;
+TEST(SolveOracle, RandomPipelinesMatchBarrierAndCertify) {
+  // 200 seeded random pipelines with zero-gain, Bernoulli and deterministic
+  // edges, each solved at cells on both sides of the feasibility frontier.
+  // Every solve must agree with is_feasible, carry a strict KKT
+  // certificate, and match the log-barrier optimum of the full problem.
+  std::size_t feasible_cells = 0;
+  std::size_t chain_active_cells = 0;
+  for (int seed = 0; seed < 200; ++seed) {
+    dist::Xoshiro256 rng(9000 + seed);
+    sdf::PipelineBuilder builder("random");
+    builder.simd_width(4u << rng.uniform_below(5));  // 4..64
+    const std::size_t n = 1 + rng.uniform_below(8);
+    std::vector<double> b;
+    for (std::size_t i = 0; i < n; ++i) {
+      dist::GainPtr gain;
+      switch (rng.uniform_below(3)) {
+        case 0: gain = dist::make_deterministic(0); break;
+        case 1:
+          gain = dist::make_bernoulli(0.05 + 0.9 * rng.uniform01());
+          break;
+        default:
+          gain = dist::make_deterministic(1 + rng.uniform_below(3));
+          break;
       }
+      builder.add_node("n" + std::to_string(i), 5.0 + rng.uniform01() * 2000.0,
+                       std::move(gain));
+      b.push_back(static_cast<double>(1 + rng.uniform_below(9)));
+    }
+    const auto pipeline = std::move(builder.build()).take();
+    const EnforcedWaitsStrategy strategy(pipeline, EnforcedWaitsConfig{b});
+    const double tau0_floor = sdf::minimal_firing_intervals(pipeline)[0] /
+                              static_cast<double>(pipeline.simd_width());
+    const double budget_floor = sdf::minimal_deadline_budget(pipeline, b);
+
+    for (int cell = 0; cell < 6; ++cell) {
+      const double tau0 = tau0_floor * (0.8 + 3.0 * rng.uniform01());
+      const double deadline = budget_floor * (0.8 + 5.0 * rng.uniform01());
+      SCOPED_TRACE("seed " + std::to_string(seed) + " tau0 " +
+                   std::to_string(tau0) + " D " + std::to_string(deadline));
+      auto solved = strategy.solve(tau0, deadline);
+      ASSERT_EQ(solved.ok(), strategy.is_feasible(tau0, deadline));
+      if (!solved.ok()) {
+        EXPECT_EQ(solved.error().code, "infeasible");
+        continue;
+      }
+      ++feasible_cells;
+      const auto& schedule = solved.value();
+      const auto problem = strategy.build_problem(tau0, deadline);
+      const linalg::Vector x(schedule.firing_intervals.begin(),
+                             schedule.firing_intervals.end());
+      const double grad_scale = 1.0 + linalg::norm_inf(problem.gradient(x));
+      EXPECT_TRUE(schedule.kkt.certified(1e-9 * (1.0 + deadline),
+                                         1e-8 * grad_scale, 1e-8 * grad_scale));
+      for (const auto& label : schedule.kkt.active_labels) {
+        if (label.rfind("chain", 0) == 0) {
+          ++chain_active_cells;
+          break;
+        }
+      }
+
+      const auto start = strategy.interior_start(tau0, deadline);
+      if (start.empty()) continue;  // L is the only feasible point
+      auto barrier = opt::barrier_minimize(problem, start);
+      ASSERT_TRUE(barrier.ok());
+      EXPECT_NEAR(schedule.predicted_active_fraction, barrier.value().objective,
+                  1e-5);
+      EXPECT_LE(schedule.predicted_active_fraction,
+                barrier.value().objective + 1e-12);
     }
   }
-}
-
-TEST(WarmSolve, GarbageHintIsRejectedNotTrusted) {
-  const auto pipeline = blast_pipeline();
-  const EnforcedWaitsStrategy strategy(pipeline, paper_config());
-  auto cold = strategy.solve(20.0, 1.5e5);
-  ASSERT_TRUE(cold.ok());
-
-  // A hint whose nominated active set is nonsense for this cell: the
-  // certificate gate must reject it and the result must match cold exactly.
-  WarmStart garbage;
-  garbage.firing_intervals = {1e9, 1e-9, 1e9, 1e-9};
-  auto warmed = strategy.solve(20.0, 1.5e5, &garbage);
-  ASSERT_TRUE(warmed.ok());
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(cold.value().firing_intervals[i],
-              warmed.value().firing_intervals[i]);
-  }
-
-  // A hint from an infeasible neighbor (wrong dimension) is ignored.
-  WarmStart wrong_size;
-  wrong_size.firing_intervals = {1.0, 2.0};
-  auto sized = strategy.solve(20.0, 1.5e5, &wrong_size);
-  ASSERT_TRUE(sized.ok());
-  EXPECT_EQ(cold.value().predicted_active_fraction,
-            sized.value().predicted_active_fraction);
-}
-
-TEST(WarmSolve, InfeasibleCellsFailIdenticallyWarmOrCold) {
-  const EnforcedWaitsStrategy strategy(blast_pipeline(), paper_config());
-  WarmStart warm;
-  warm.firing_intervals = {400.0, 380.0, 290.0, 2800.0};  // plausible hint
-  for (auto [tau0, deadline] : {std::pair{1.0, 3.5e5}, std::pair{50.0, 2e4}}) {
-    auto cold = strategy.solve(tau0, deadline);
-    auto warmed = strategy.solve(tau0, deadline, &warm);
-    ASSERT_FALSE(cold.ok());
-    ASSERT_FALSE(warmed.ok());
-    EXPECT_EQ(cold.error().code, warmed.error().code);
-    EXPECT_EQ(cold.error().message, warmed.error().message);
-  }
+  // The draw must exercise both the chain-active and the feasible region.
+  EXPECT_GT(feasible_cells, 300u);
+  EXPECT_GT(chain_active_cells, 30u);
 }
 
 TEST(InteriorStart, EmptyWhenNoInteriorPointExists) {

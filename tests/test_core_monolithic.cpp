@@ -168,21 +168,6 @@ TEST(Solve, ScanIsExact) {
   EXPECT_DOUBLE_EQ(solved.value().predicted_active_fraction, best);
 }
 
-TEST(Solve, BranchAndBoundMatchesScan) {
-  const MonolithicStrategy strategy(blast_pipeline(), {});
-  for (double tau0 : {10.0, 30.0, 100.0}) {
-    for (double deadline : {2e4, 1.2e5, 3.5e5}) {
-      auto scan = strategy.solve(tau0, deadline);
-      auto bnb = strategy.solve_branch_and_bound(tau0, deadline);
-      ASSERT_EQ(scan.ok(), bnb.ok()) << tau0 << " " << deadline;
-      if (!scan.ok()) continue;
-      EXPECT_NEAR(scan.value().predicted_active_fraction,
-                  bnb.value().predicted_active_fraction, 1e-12)
-          << tau0 << " " << deadline;
-    }
-  }
-}
-
 TEST(Solve, ActiveFractionDecreasesWithTau0) {
   // Paper Figure 3: monolithic utilization scales inversely with tau0.
   const MonolithicStrategy strategy(blast_pipeline(), {});
@@ -244,8 +229,9 @@ TEST_P(MonolithicDeadlineSweep, BlockGrowsWithDeadline) {
 INSTANTIATE_TEST_SUITE_P(Deadlines, MonolithicDeadlineSweep,
                          ::testing::Values(2e4, 4e4, 8e4, 1.6e5, 2.3e5));
 
-/// Property: on random pipelines, solve() equals an independent brute-force
-/// minimum and branch-and-bound agrees.
+/// Property: on random pipelines and configurations, solve() picks exactly
+/// the block a brute-force scan over every M picks (first strict minimum),
+/// and is_feasible() agrees with the scan.
 class MonolithicRandom : public ::testing::TestWithParam<int> {};
 
 TEST_P(MonolithicRandom, SolverIsExactOnRandomPipelines) {
@@ -262,7 +248,10 @@ TEST_P(MonolithicRandom, SolverIsExactOnRandomPipelines) {
                                0.1 + rng.uniform01() * 1.2, 8));
   }
   const auto pipeline = std::move(builder.build()).take();
-  const MonolithicStrategy strategy(pipeline, {});
+  MonolithicConfig config;
+  config.b = static_cast<double>(1 + rng.uniform_below(3));
+  config.S = 1.0 + rng.uniform01();
+  const MonolithicStrategy strategy(pipeline, config);
 
   const double tau0 =
       pipeline.mean_service_per_input() * (1.2 + rng.uniform01() * 4.0);
@@ -270,19 +259,23 @@ TEST_P(MonolithicRandom, SolverIsExactOnRandomPipelines) {
 
   auto solved = strategy.solve(tau0, deadline);
   double brute_best = 2.0;
+  std::int64_t brute_block = 0;
   for (std::int64_t m = 1; m <= strategy.max_block_size(tau0, deadline); ++m) {
     if (!strategy.is_block_feasible(m, tau0, deadline)) continue;
-    brute_best = std::min(brute_best, strategy.active_fraction(m, tau0));
+    const double value = strategy.active_fraction(m, tau0);
+    if (value < brute_best) {
+      brute_best = value;
+      brute_block = m;
+    }
   }
-  if (brute_best > 1.5) {
+  EXPECT_EQ(strategy.is_feasible(tau0, deadline), brute_block != 0);
+  if (brute_block == 0) {
     EXPECT_FALSE(solved.ok());
     return;
   }
   ASSERT_TRUE(solved.ok());
+  EXPECT_EQ(solved.value().block_size, brute_block);
   EXPECT_DOUBLE_EQ(solved.value().predicted_active_fraction, brute_best);
-  auto bnb = strategy.solve_branch_and_bound(tau0, deadline);
-  ASSERT_TRUE(bnb.ok());
-  EXPECT_DOUBLE_EQ(bnb.value().predicted_active_fraction, brute_best);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MonolithicRandom, ::testing::Range(0, 20));

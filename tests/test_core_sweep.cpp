@@ -79,7 +79,7 @@ TEST(RunSweep, ParallelMatchesSerial) {
   const auto grid = SweepGrid::linear(5.0, 100.0, 4, 3e4, 3.5e5, 4);
   const auto serial = run_sweep(pipeline, paper_config(), {}, grid);
   util::ThreadPool pool(4);
-  const auto parallel = run_sweep(pipeline, paper_config(), {}, grid, &pool);
+  const auto parallel = run_sweep(pipeline, paper_config(), {}, grid, {&pool});
   ASSERT_EQ(serial.cells().size(), parallel.cells().size());
   for (std::size_t i = 0; i < serial.cells().size(); ++i) {
     EXPECT_EQ(serial.cells()[i].enforced_feasible,
@@ -89,6 +89,42 @@ TEST(RunSweep, ParallelMatchesSerial) {
     EXPECT_EQ(serial.cells()[i].monolithic_block,
               parallel.cells()[i].monolithic_block);
   }
+}
+
+/// FNV-1a over each cell's feasibility flags, both active fractions and the
+/// monolithic block — the same fields, in the same order, as the offline
+/// planning benchmark's surface digest.
+std::uint64_t surface_digest(const SweepSurface& surface) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  auto mix = [&hash](const void* data, std::size_t len) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < len; ++i) {
+      hash ^= bytes[i];
+      hash *= 1099511628211ULL;
+    }
+  };
+  for (const SweepCell& cell : surface.cells()) {
+    const unsigned char flags = static_cast<unsigned char>(
+        (cell.enforced_feasible ? 1 : 0) | (cell.monolithic_feasible ? 2 : 0));
+    mix(&flags, 1);
+    mix(&cell.enforced_active_fraction, sizeof(double));
+    mix(&cell.monolithic_active_fraction, sizeof(double));
+    mix(&cell.monolithic_block, sizeof(cell.monolithic_block));
+  }
+  return hash;
+}
+
+TEST(RunSweep, GoldenDigestOnPaperGrid) {
+  // Pins every bit of the 100x100 paper-grid surface at two b vectors: the
+  // paper's calibrated b and the optimistic b, whose chain constraints are
+  // active over a larger share of the grid.
+  const auto pipeline = blast_pipeline();
+  const auto grid = SweepGrid::paper_ranges(100, 100);
+  EXPECT_EQ(surface_digest(run_sweep(pipeline, paper_config(), {}, grid)),
+            0xb316aa15d55a0f1fULL);
+  EXPECT_EQ(surface_digest(run_sweep(
+                pipeline, EnforcedWaitsConfig::optimistic(pipeline), {}, grid)),
+            0xd657ca8e62fea678ULL);
 }
 
 TEST(RunSweep, InfeasibleCellsChargedFullFraction) {
@@ -142,93 +178,6 @@ TEST(Surface, CsvRoundTripStructure) {
   for (char c : text) lines += (c == '\n');
   EXPECT_EQ(lines, 5u);
   EXPECT_NE(text.find("tau0,deadline,enforced_feasible"), std::string::npos);
-}
-
-/// Field-by-field bitwise equality of two surfaces; EXPECT_EQ on doubles is
-/// exact comparison, which is the whole point of the warm-start contract.
-void expect_surfaces_bit_identical(const SweepSurface& a,
-                                   const SweepSurface& b) {
-  ASSERT_EQ(a.cells().size(), b.cells().size());
-  for (std::size_t i = 0; i < a.cells().size(); ++i) {
-    const SweepCell& x = a.cells()[i];
-    const SweepCell& y = b.cells()[i];
-    EXPECT_EQ(x.tau0, y.tau0) << "cell " << i;
-    EXPECT_EQ(x.deadline, y.deadline) << "cell " << i;
-    EXPECT_EQ(x.enforced_feasible, y.enforced_feasible) << "cell " << i;
-    EXPECT_EQ(x.enforced_active_fraction, y.enforced_active_fraction)
-        << "cell " << i;
-    EXPECT_EQ(x.monolithic_feasible, y.monolithic_feasible) << "cell " << i;
-    EXPECT_EQ(x.monolithic_active_fraction, y.monolithic_active_fraction)
-        << "cell " << i;
-    EXPECT_EQ(x.monolithic_block, y.monolithic_block) << "cell " << i;
-  }
-}
-
-TEST(WarmSweep, GoldenSurfaceBitIdenticalToColdOnPaperGrid) {
-  // The central warm-start contract: over the full paper parameter ranges —
-  // including the feasibility boundaries of both strategies and the
-  // chain-active small-tau0 region — the warm surface equals the cold one
-  // bit for bit, not merely within tolerance.
-  const auto pipeline = blast_pipeline();
-  const auto grid = SweepGrid::paper_ranges(32, 32);
-
-  SweepOptions cold;
-  cold.warm_start = false;
-  SweepOptions warm;
-  warm.warm_start = true;
-
-  const auto cold_surface =
-      run_sweep(pipeline, paper_config(), {}, grid, cold);
-  const auto warm_surface =
-      run_sweep(pipeline, paper_config(), {}, grid, warm);
-  expect_surfaces_bit_identical(cold_surface, warm_surface);
-}
-
-TEST(WarmSweep, ParallelWarmDeterministic) {
-  // Tiles own their warm state, so neither the thread count nor the grain
-  // may perturb a single bit of the surface.
-  const auto pipeline = blast_pipeline();
-  const auto grid = SweepGrid::paper_ranges(16, 16);
-
-  SweepOptions serial;
-  const auto serial_surface =
-      run_sweep(pipeline, paper_config(), {}, grid, serial);
-
-  util::ThreadPool pool(4);
-  SweepOptions parallel;
-  parallel.pool = &pool;
-  parallel.tile_rows = 3;  // deliberately not dividing 16
-  const auto parallel_surface =
-      run_sweep(pipeline, paper_config(), {}, grid, parallel);
-  expect_surfaces_bit_identical(serial_surface, parallel_surface);
-}
-
-TEST(WarmSweep, WarmAcrossFeasibilityBoundary) {
-  // A single snake row that starts deep in the feasible region and walks
-  // into the infeasible corner (small D) and back: hints go stale across
-  // the boundary and must be rejected, never smuggled into results.
-  const auto pipeline = blast_pipeline();
-  const auto grid = SweepGrid::linear(8.0, 12.0, 3, 2e4, 3.5e5, 9);
-
-  SweepOptions cold;
-  cold.warm_start = false;
-  SweepOptions warm;
-  warm.tile_rows = 3;  // one tile: maximally long warm chain
-  const auto cold_surface = run_sweep(pipeline, paper_config(), {}, grid, cold);
-  const auto warm_surface = run_sweep(pipeline, paper_config(), {}, grid, warm);
-
-  // The strip must actually cross both feasibility boundaries for the test
-  // to mean anything.
-  bool any_enforced = false, any_mono = false, any_neither = false;
-  for (const SweepCell& cell : cold_surface.cells()) {
-    any_enforced |= cell.enforced_feasible;
-    any_mono |= cell.monolithic_feasible;
-    any_neither |= (!cell.enforced_feasible && !cell.monolithic_feasible);
-  }
-  ASSERT_TRUE(any_enforced);
-  ASSERT_TRUE(any_mono);
-  ASSERT_TRUE(any_neither);
-  expect_surfaces_bit_identical(cold_surface, warm_surface);
 }
 
 TEST(Surface, CellIndexValidation) {

@@ -143,15 +143,16 @@ TEST(WaterfillChained, AllInactiveReducesToPlainWaterfillBitExactly) {
 }
 
 TEST(WaterfillChained, ActiveSetReproducesTheFullSolverExactly) {
-  // In the chain-active region, solving the chained system on the active set
-  // detected from the full solver's optimum is exactly the canonical polish
-  // that solve() itself performs — the intervals must agree bit for bit.
+  // In the chain-active region, the chained closed form on the pooled
+  // solve's active set is exactly what solve() returns, bit for bit.
   const auto pipeline = blast_pipeline();
   const auto b = blast::paper_calibrated_b();
   const EnforcedWaitsStrategy strategy(pipeline, EnforcedWaitsConfig{b});
   auto full = strategy.solve(5.0, 3.5e5);
   ASSERT_TRUE(full.ok());
-  const auto active = strategy.detect_active_chain(full.value().firing_intervals);
+  auto pooled = waterfill_solve_pooled(pipeline, b, 5.0, 3.5e5);
+  ASSERT_TRUE(pooled.ok());
+  const auto& active = pooled.value().chain_active;
   ASSERT_TRUE(std::any_of(active.begin(), active.end(),
                           [](std::uint8_t a) { return a != 0; }));
   auto chained = waterfill_solve_chained(pipeline, b, 5.0, 3.5e5, active);
@@ -160,6 +161,23 @@ TEST(WaterfillChained, ActiveSetReproducesTheFullSolverExactly) {
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(full.value().firing_intervals[i],
               chained.value().firing_intervals[i]);
+  }
+}
+
+TEST(WaterfillPooled, ChainFreeOptimumPoolsNothing) {
+  // Where the chain-free optimum already satisfies the chain, no pool forms
+  // and the pooled solve returns the plain water-filling bits.
+  const auto pipeline = blast_pipeline();
+  const auto b = blast::paper_calibrated_b();
+  auto plain = waterfill_solve(pipeline, b, 100.0, 3.5e5);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(plain.value().chain_feasible);
+  auto pooled = waterfill_solve_pooled(pipeline, b, 100.0, 3.5e5);
+  ASSERT_TRUE(pooled.ok());
+  EXPECT_EQ(pooled.value().chain_active, std::vector<std::uint8_t>(4, 0));
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(plain.value().firing_intervals[i],
+              pooled.value().firing_intervals[i]);
   }
 }
 
@@ -184,9 +202,8 @@ TEST(WaterfillChained, LambdaZeroWithMergedBlock) {
 }
 
 /// Property: across random pipelines, whenever the water-filled point is
-/// chain-feasible it matches the strategy's solve() (which cross-checks the
-/// barrier path), and it never beats it (it solves a relaxation, so equal
-/// objective implies the relaxation was tight).
+/// chain-feasible it matches the strategy's solve(), and otherwise it never
+/// does worse (it solves a relaxation).
 class WaterfillRandom : public ::testing::TestWithParam<int> {};
 
 TEST_P(WaterfillRandom, ConsistentWithFullSolver) {

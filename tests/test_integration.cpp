@@ -141,8 +141,9 @@ TEST(Integration, Figure4DominanceRegions) {
   util::ThreadPool pool(2);
   // 12 tau0 points (step 9) include tau0 = 10, where the monolithic strategy
   // is barely stable and the enforced-waits advantage peaks.
-  const auto surface = core::run_sweep(blast_pipeline(), paper_config(), {},
-                                       core::SweepGrid::paper_ranges(12, 6), &pool);
+  const auto surface =
+      core::run_sweep(blast_pipeline(), paper_config(), {},
+                      core::SweepGrid::paper_ranges(12, 6), {&pool});
   const auto summary = core::summarize_dominance(surface);
   // Enforced waits dominate somewhere by at least 0.4 (paper's figure).
   EXPECT_GE(summary.max_enforced_advantage, 0.4);

@@ -99,5 +99,20 @@ TEST(Kkt, TwoActiveConstraintsResolved) {
   EXPECT_EQ(report.active_labels.size(), 2u);
 }
 
+TEST(Kkt, DegenerateVertexFindsNonnegativeMultipliers) {
+  // The capped problem with its bounds pinched to [1 - 1e-9, 1]: at x = 1
+  // the cap, the upper bound and (within the active tolerance) the lower
+  // bound are all active. The min-norm least-squares multipliers are
+  // (1/3, 1/3, -1/3) times the gradient norm, yet x = 1 is optimal with the
+  // lower bound's multiplier at zero.
+  ConvexProblem p = one_dim_capped();
+  p.lower_bounds = {1.0 - 1e-9};
+  p.upper_bounds = {1.0};
+  const KktReport report = check_kkt(p, {1.0});
+  EXPECT_EQ(report.active_labels.size(), 3u);
+  EXPECT_TRUE(report.satisfied(1e-9));
+  EXPECT_GE(report.min_multiplier, 0.0);
+}
+
 }  // namespace
 }  // namespace ripple::opt

@@ -41,9 +41,8 @@ ReplayConfig base_config() {
   return config;
 }
 
-// The offline oracle: a cold solve at the plan's own operating point must
-// reproduce the closed loop's steady-state schedule bit-for-bit (the warm
-// starts may not change the solution).
+// The offline oracle: a fresh solve at the plan's own operating point must
+// reproduce the closed loop's steady-state schedule bit-for-bit.
 void expect_plan_matches_cold_solve(const sdf::PipelineSpec& spec,
                                     const control::PlanPtr& plan,
                                     Cycles deadline) {
@@ -51,11 +50,11 @@ void expect_plan_matches_cold_solve(const sdf::PipelineSpec& spec,
       spec, core::EnforcedWaitsConfig::optimistic(spec));
   const auto solved = oracle.solve(plan->planned_tau0, deadline);
   ASSERT_TRUE(solved.ok());
-  const auto& warm = plan->schedule.firing_intervals;
-  const auto& cold = solved.value().firing_intervals;
-  ASSERT_EQ(warm.size(), cold.size());
-  for (std::size_t i = 0; i < warm.size(); ++i) {
-    EXPECT_EQ(warm[i], cold[i]) << "node " << i;
+  const auto& planned = plan->schedule.firing_intervals;
+  const auto& fresh = solved.value().firing_intervals;
+  ASSERT_EQ(planned.size(), fresh.size());
+  for (std::size_t i = 0; i < planned.size(); ++i) {
+    EXPECT_EQ(planned[i], fresh[i]) << "node " << i;
   }
 }
 

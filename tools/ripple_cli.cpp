@@ -287,7 +287,7 @@ int cmd_sweep(const sdf::PipelineSpec& pipeline, util::CliParser& cli) {
   util::ThreadPool pool;
   const auto surface = core::run_sweep(
       pipeline, enforced_config(pipeline, cli.get_string("b")),
-      {cli.get_double("block-b"), cli.get_double("S")}, grid, &pool);
+      {cli.get_double("block-b"), cli.get_double("S")}, grid, {&pool});
   const auto summary = core::summarize_dominance(surface);
   std::cout << "cells: " << summary.cells_total
             << ", enforced wins " << summary.enforced_wins
