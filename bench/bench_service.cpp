@@ -77,37 +77,37 @@ void BM_ReplanColdSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplanColdSolve);
 
-/// The hysteresis fast path: one observed gap plus a tick that keeps the
-/// plan. This is the per-control-interval cost the service pays in steady
+/// The hysteresis fast path: one observed arrival group plus a tick that
+/// keeps the plan (the tick sums the 256-group window). This is the per-control-interval cost the service pays in steady
 /// state on top of executing the batch.
 void BM_ControllerTickSteady(benchmark::State& state) {
   const sdf::PipelineSpec spec = make_loop_spec();
   control::Controller controller(
       spec, core::EnforcedWaitsConfig::optimistic(spec), kLoopDeadline, 20.0);
-  for (int i = 0; i < 2000; ++i) controller.observe_gap(20.0);
+  for (int i = 0; i < 2000; ++i) controller.observe_group(20.0, 1);
   for (auto _ : state) {
-    controller.observe_gap(20.0);
+    controller.observe_group(20.0, 1);
     auto decision = controller.tick();
     benchmark::DoNotOptimize(decision);
   }
 }
 BENCHMARK(BM_ControllerTickSteady);
 
-/// The per-arrival cost the closed loop adds on the ingest side: one EWMA
-/// update plus a quantile-window push. Together with the tick, this is the
-/// entire steady-state control overhead per chunk (kChunk gaps + one tick),
-/// which scripts/run_bench_service.sh relates to the static-plan chunk time.
-void BM_ObserveGapSteady(benchmark::State& state) {
+/// The per-group cost the closed loop adds on the ingest side: one window
+/// slot store. Together with the tick, this is the entire steady-state
+/// control overhead per chunk (at most kChunk groups + one tick), which
+/// scripts/run_bench_service.sh relates to the static-plan chunk time.
+void BM_ObserveGroupSteady(benchmark::State& state) {
   const sdf::PipelineSpec spec = make_loop_spec();
   control::Controller controller(
       spec, core::EnforcedWaitsConfig::optimistic(spec), kLoopDeadline, 20.0);
-  for (int i = 0; i < 2000; ++i) controller.observe_gap(20.0);
+  for (int i = 0; i < 2000; ++i) controller.observe_group(20.0, 1);
   for (auto _ : state) {
-    controller.observe_gap(20.0);
+    controller.observe_group(20.0, 1);
   }
   benchmark::DoNotOptimize(controller);
 }
-BENCHMARK(BM_ObserveGapSteady);
+BENCHMARK(BM_ObserveGroupSteady);
 
 /// One batch through the service's executor path (the batch the worker runs
 /// per drain), shared by the closed-loop and static-plan chunk benchmarks.
@@ -129,18 +129,18 @@ void run_executor_chunk(runtime::PipelineExecutor& executor,
 }
 
 /// One steady-state drain cycle of the closed loop: feed a chunk of offered
-/// gaps to the estimator, tick the controller (kept plan), and execute the
+/// single-item groups to the estimator, tick the controller (kept plan), and execute the
 /// chunk through the service's executor under the current plan — the same
 /// per-batch work PipelineService::drain_pending does.
 void BM_ClosedLoopChunkSteady(benchmark::State& state) {
   const sdf::PipelineSpec spec = make_loop_spec();
   control::Controller controller(
       spec, core::EnforcedWaitsConfig::optimistic(spec), kLoopDeadline, 20.0);
-  for (int i = 0; i < 2000; ++i) controller.observe_gap(20.0);
+  for (int i = 0; i < 2000; ++i) controller.observe_group(20.0, 1);
   runtime::PipelineExecutor executor(spec, service::synthetic_stages(spec));
 
   for (auto _ : state) {
-    for (std::size_t i = 0; i < kChunk; ++i) controller.observe_gap(20.0);
+    for (std::size_t i = 0; i < kChunk; ++i) controller.observe_group(20.0, 1);
     auto decision = controller.tick();
     benchmark::DoNotOptimize(decision);
     const control::PlanPtr plan = controller.plan();

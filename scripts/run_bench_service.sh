@@ -46,17 +46,17 @@ if cold:
     print(f"re-plan latency: {cold / 1e3:.2f} us")
 
 tick = times.get("BM_ControllerTickSteady")
-gap = times.get("BM_ObserveGapSteady")
+gap = times.get("BM_ObserveGroupSteady")
 if tick:
     print(f"steady-state controller tick: {tick:.0f} ns")
 if gap:
-    print(f"per-arrival observe_gap: {gap:.1f} ns")
+    print(f"per-group observe_group: {gap:.1f} ns")
 
 loop = times.get("BM_ClosedLoopChunkSteady")
 static = times.get("BM_StaticPlanChunk")
 CHUNK = 256  # kChunk in bench_service.cpp
 if tick and gap and static:
-    # The control loop adds exactly CHUNK observe_gap calls plus one tick per
+    # The control loop adds at most CHUNK observe_group calls plus one tick per
     # chunk. Summing the independently measured components is far better
     # conditioned than subtracting two ~60 us chunk timings on a noisy host.
     overhead = (tick + CHUNK * gap) / static * 100.0

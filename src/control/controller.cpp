@@ -18,6 +18,20 @@ Controller::Controller(sdf::PipelineSpec pipeline,
       replanner_(std::move(pipeline), std::move(config), deadline,
                  initial_tau0, controller.replanner) {}
 
+Cycles Controller::observe_arrivals(const std::vector<Cycles>& sorted_stamps,
+                                    Cycles last_stamp) {
+  std::size_t i = 0;
+  while (i < sorted_stamps.size()) {
+    const Cycles stamp = sorted_stamps[i];
+    std::size_t end = i + 1;
+    while (end < sorted_stamps.size() && sorted_stamps[end] == stamp) ++end;
+    estimator_.observe_group(stamp - last_stamp, end - i);
+    last_stamp = std::max(last_stamp, stamp);
+    i = end;
+  }
+  return last_stamp;
+}
+
 void Controller::observe_worst_latency(Cycles latency) {
   worst_latency_ = std::max(worst_latency_, latency);
 }
@@ -28,8 +42,10 @@ ControlDecision Controller::tick() {
       worst_latency_ > config_.slack_trigger * replanner_.deadline();
   worst_latency_ = 0.0;
 
-  const Cycles tau0_hat = estimator_.tau0();
-  ReplanDecision replan = replanner_.consider(tau0_hat, slack_forced);
+  const RateEstimate estimate = estimator_.estimate();
+  const Cycles tau0_hat = estimate.tau0;
+  ReplanDecision replan =
+      replanner_.consider(tau0_hat, slack_forced, estimate.relative_se);
 
   ++stats_.ticks;
   if (replan.outcome == ReplanOutcome::kReplanned) ++stats_.replans;

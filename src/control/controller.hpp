@@ -2,18 +2,25 @@
 //
 // One Controller sits between the service's ingest side and its executor:
 //
-//              gaps                     tick()
+//            arrival groups               tick()
 //   producers ------> RateEstimator ----------> Replanner ---> PlanStore
 //                          |                        |             |
-//                          | tau0_hat               | shedding    | load()
+//                          | tau0_hat, se           | shedding    | load()
 //                          v                        v             v
 //                    admitted_sessions()      (admission cut)   worker
 //
-// The worker thread owns the write side: it feeds observed inter-arrival
-// gaps and per-batch worst latencies, and calls tick() once per ingest
-// batch. Readers (producer threads checking admission, tests) only touch
-// the PlanStore snapshot and the published admission watermark — the
-// estimator itself is single-writer and never shared.
+// The worker thread owns the write side: it feeds each drain's sorted
+// arrival stamps through observe_arrivals() — one estimator group per run of
+// equal stamps — plus per-batch worst latencies, and calls tick() once per
+// drain. The tick hands the re-planner tau0_hat and its relative standard
+// error, so the drift band widens to the estimator's own noise. Readers
+// (producer threads checking admission, tests) only touch the PlanStore
+// snapshot and the published admission watermark — the estimator itself is
+// single-writer and never shared.
+//
+// observe_arrivals() is the one arrival feed: the service drain, journal
+// recovery and the sim replay all call it, so a recovered controller sees
+// the groups the live one saw by construction.
 //
 // Admission: sessions are assumed symmetric (each contributes offered_rate /
 // open_sessions). When the re-planner flags shedding, the controller admits
@@ -22,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "control/plan_store.hpp"
 #include "control/rate_estimator.hpp"
@@ -58,7 +66,7 @@ struct ControllerStats {
 };
 
 /// The controller's entire mutable state: restoring it and replaying the
-/// same observe_gap / observe_worst_latency / tick sequence reproduces the
+/// same observe_arrivals / observe_worst_latency / tick sequence reproduces the
 /// uninterrupted run's plans bit for bit. This is the unit the arrival
 /// journal (net/journal) snapshots and the kill-and-recover path restores.
 struct ControllerCheckpoint {
@@ -77,9 +85,19 @@ class Controller {
 
   // --- worker-thread (single-writer) side ---------------------------------
 
-  /// Observe one inter-arrival gap of the *offered* stream (shed arrivals
-  /// included — admission must track the load it is rejecting).
-  void observe_gap(Cycles gap) { estimator_.observe_gap(gap); }
+  /// Observe one arrival group of the *offered* stream (shed arrivals
+  /// included — admission must track the load it is rejecting): `count`
+  /// items stamped `gap` cycles after the previous group.
+  void observe_group(Cycles gap, std::uint64_t count) {
+    estimator_.observe_group(gap, count);
+  }
+
+  /// Feed one drain's offered arrival stamps, sorted ascending: one group
+  /// per run of equal stamps, its gap measured from the previous group's
+  /// stamp (`last_stamp` for the first). Returns the stamp to carry into the
+  /// next call, max(last_stamp, newest stamp).
+  Cycles observe_arrivals(const std::vector<Cycles>& sorted_stamps,
+                          Cycles last_stamp);
 
   /// Observe a completed batch's worst end-to-end latency.
   void observe_worst_latency(Cycles latency);

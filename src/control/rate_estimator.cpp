@@ -3,95 +3,88 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/assert.hpp"
-
 namespace ripple::control {
+
+namespace {
+
+/// tau0_hat never drops below this: a window of simultaneous arrivals (zero
+/// span) reads as an extreme rate, not as a zero or undefined one.
+constexpr Cycles kMinTau0 = 1e-9;
+
+}  // namespace
 
 RateEstimator::RateEstimator(Cycles prior_tau0, RateEstimatorConfig config)
     : config_(config) {
-  RIPPLE_REQUIRE(prior_tau0 > 0.0, "prior tau0 must be positive");
-  RIPPLE_REQUIRE(config_.alpha > 0.0 && config_.alpha <= 1.0,
-                 "EWMA alpha must be in (0, 1]");
-  RIPPLE_REQUIRE(config_.window > 0, "quantile window must be non-empty");
-  window_ = std::make_unique<std::atomic<Cycles>[]>(config_.window);
+  RIPPLE_REQUIRE(config_.window > 0, "estimator window must be non-empty");
+  window_.resize(config_.window);
   reset(prior_tau0);
 }
 
-Cycles RateEstimator::gap_quantile(double q) const {
-  RIPPLE_REQUIRE(q >= 0.0 && q <= 1.0, "quantile must be in [0, 1]");
-  // Acquire pairs with observe_gap's release bump: every slot counted below
-  // was fully stored before the count we read. A slot overwritten after the
-  // load still yields a whole (old or new) observation — never a torn one.
-  const std::uint64_t observed = samples_.load(std::memory_order_acquire);
-  const std::size_t n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(observed, config_.window));
-  if (n == 0) return prior_;
-  // Local buffer: the old implementation sorted a `mutable` member scratch
-  // vector, which raced when a stats reader polled quantiles while the shard
-  // worker observed gaps.
-  std::vector<Cycles> local(n);
+RateEstimate RateEstimator::estimate() const {
+  if (!warm() || groups_ == 0) return RateEstimate{prior_, 0.0};
+  const std::size_t n = retained();
+  const std::size_t start = oldest();
+  Cycles span = 0.0;
+  double items = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    local[i] = window_[i].load(std::memory_order_relaxed);
+    const ArrivalGroup& group = window_[(start + i) % window_.size()];
+    span += group.gap;
+    items += static_cast<double>(group.count);
   }
-  // Rank r = ceil(q * n) observations <= result (matching the histogram
-  // quantile convention in obs/metrics.hpp), clamped to [1, n].
-  const auto rank = static_cast<std::size_t>(std::max(
-      1.0, std::ceil(q * static_cast<double>(n))));
-  const std::size_t index = std::min(rank, n) - 1;
-  std::nth_element(local.begin(),
-                   local.begin() + static_cast<std::ptrdiff_t>(index),
-                   local.end());
-  return local[index];
+  const Cycles tau0 = span / items;
+  RateEstimate result{std::max(tau0, kMinTau0), 0.0};
+  if (n < 2 || !(span > 0.0)) return result;
+  // Ratio-estimator variance: Var(R) ~ sum (g_i - R c_i)^2 / (n (n-1) cbar^2),
+  // so the relative error sd(R)/R is sqrt(ss * n / (n-1)) / span.
+  double ss = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const ArrivalGroup& group = window_[(start + i) % window_.size()];
+    const double residual = group.gap - tau0 * static_cast<double>(group.count);
+    ss += residual * residual;
+  }
+  const double nd = static_cast<double>(n);
+  result.relative_se = std::sqrt(ss * nd / (nd - 1.0)) / span;
+  return result;
 }
 
 void RateEstimator::reset(Cycles prior_tau0) {
   RIPPLE_REQUIRE(prior_tau0 > 0.0, "prior tau0 must be positive");
   prior_ = prior_tau0;
-  ewma_ = prior_tau0;
+  groups_ = 0;
   write_idx_ = 0;
-  samples_.store(0, std::memory_order_release);
 }
 
 RateEstimatorCheckpoint RateEstimator::checkpoint() const {
   RateEstimatorCheckpoint state;
   state.prior = prior_;
-  state.ewma = ewma_;
-  state.samples = samples_.load(std::memory_order_relaxed);
-  const std::size_t n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(state.samples, config_.window));
+  state.groups = groups_;
+  const std::size_t n = retained();
+  const std::size_t start = oldest();
   state.window.reserve(n);
-  // Oldest-to-newest: when the window has wrapped, write_idx_ points at the
-  // oldest retained gap (the next one to be overwritten).
-  const std::size_t start = state.samples >= config_.window ? write_idx_ : 0;
   for (std::size_t i = 0; i < n; ++i) {
-    state.window.push_back(
-        window_[(start + i) % config_.window].load(std::memory_order_relaxed));
+    state.window.push_back(window_[(start + i) % window_.size()]);
   }
   return state;
 }
 
 void RateEstimator::restore(const RateEstimatorCheckpoint& state) {
   RIPPLE_REQUIRE(state.prior > 0.0, "checkpoint prior must be positive");
-  RIPPLE_REQUIRE(state.window.size() <= config_.window,
+  RIPPLE_REQUIRE(state.window.size() <= window_.size(),
                  "checkpoint window larger than the configured window");
   RIPPLE_REQUIRE(
       state.window.size() ==
-          static_cast<std::size_t>(
-              std::min<std::uint64_t>(state.samples, config_.window)),
-      "checkpoint window size inconsistent with its sample count");
-  prior_ = state.prior;
-  ewma_ = state.ewma;
-  // Re-place each retained gap in the slot it occupied live: observation m
-  // lives in slot m mod window, so a restored estimator continues the same
-  // rotation the live one would have.
-  const std::uint64_t first =
-      state.samples - static_cast<std::uint64_t>(state.window.size());
-  for (std::size_t i = 0; i < state.window.size(); ++i) {
-    window_[static_cast<std::size_t>((first + i) % config_.window)].store(
-        state.window[i], std::memory_order_relaxed);
+          std::min<std::uint64_t>(state.groups, window_.size()),
+      "checkpoint window size inconsistent with its group count");
+  for (const ArrivalGroup& group : state.window) {
+    RIPPLE_REQUIRE(group.count > 0 && group.gap >= 0.0,
+                   "checkpoint holds a malformed arrival group");
   }
-  write_idx_ = static_cast<std::size_t>(state.samples % config_.window);
-  samples_.store(state.samples, std::memory_order_release);
+  // Retained groups go to slots [0, n): the estimate reads oldest to newest,
+  // so where the live window kept them does not matter.
+  prior_ = state.prior;
+  groups_ = state.groups;
+  std::copy(state.window.begin(), state.window.end(), window_.begin());
+  write_idx_ = state.window.size() % window_.size();
 }
 
 }  // namespace ripple::control

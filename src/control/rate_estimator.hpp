@@ -1,116 +1,119 @@
-// Online arrival-rate estimation from observed inter-arrival gaps.
+// Online arrival-rate estimation from arrival groups.
 //
-// The service worker feeds every observed gap into one estimator; the
-// re-planner reads two views of it:
+// The live service stamps every item of one submit call with the same
+// arrival time, so the offered stream reaches the estimator as *groups*: a
+// run of equal stamps (one frame, one submit) preceded by the gap since the
+// previous group's stamp. The estimator keeps the last `window` groups and
+// reports
 //
-//   * an EWMA of the gaps — the smoothed inter-arrival estimate tau0_hat the
-//     re-planner solves against. One multiply-add per arrival, O(1) state.
-//   * windowed order statistics — quantiles over the last `window` gaps,
-//     which expose burstiness that the mean hides (a p10 gap far below the
-//     EWMA flags rate spikes the admission controller may need to act on).
+//   tau0_hat = sum(gap) / sum(count)   over the window: items over span
 //
-// Everything is deterministic: the same gap sequence produces bit-identical
-// estimates, which is what lets the closed-loop convergence tests compare
-// the controller against an offline oracle. The estimator is single-writer
-// (the service worker). gap_quantile() is additionally safe to call from a
-// concurrent stats reader: the window is a circular array of atomic slots
-// (relaxed stores on the write side — a plain store on x86) published by a
-// release bump of the sample count, and the quantile copies the slots into a
-// local buffer before selecting. A racing reader may see a slot mid-rotation
-// — it reads either the old or the new gap, both real observations — so the
-// concurrent quantile is sane-but-approximate; quiescent reads (the tests,
-// the worker itself) are exact and bit-identical to the single-threaded
-// history. The EWMA/tau0 view stays worker-only, as before.
+// together with the relative standard error of that ratio, which the
+// re-planner widens its hysteresis band by (replanner.hpp). Estimating per
+// item instead would feed every frame's 63 zero gaps to the estimate and
+// read a 64-item Poisson frame stream several times too fast.
+//
+// Both sums are recomputed at read time, oldest to newest, from the stored
+// window: there is no running sum, so a restored window reproduces tau0_hat
+// bit for bit and the checkpoint carries nothing but the prior, the group
+// count and the window itself. The estimator is single-writer (the shard
+// worker, or the replay/recovery caller) and is never shared across threads.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
+#include "util/assert.hpp"
 #include "util/types.hpp"
 
 namespace ripple::control {
 
 struct RateEstimatorConfig {
-  /// EWMA weight per observed gap: tau <- (1-alpha)*tau + alpha*gap.
+  /// Unused: the estimator has no EWMA. The field stays only because the
+  /// end-to-end benchmark driver still assigns it.
   double alpha = 0.05;
-  /// Gap window for quantiles: exactly this many most-recent gaps are
-  /// retained (any positive size; no power-of-two rounding).
+  /// Arrival groups retained: tau0_hat spans exactly this many most-recent
+  /// groups (any positive size).
   std::size_t window = 256;
-  /// Below this many observations the estimate stays pinned to the prior —
-  /// a cold EWMA over two or three gaps is noise, not signal.
+  /// Below this many observed groups the estimate stays pinned to the
+  /// prior — a span of two or three frames is noise, not signal.
   std::size_t min_samples = 16;
 };
 
+/// One run of equal arrival stamps: `count` items, `gap` cycles after the
+/// previous group's stamp.
+struct ArrivalGroup {
+  Cycles gap = 0.0;
+  std::uint64_t count = 0;
+
+  bool operator==(const ArrivalGroup& other) const {
+    return gap == other.gap && count == other.count;
+  }
+};
+
 /// Everything needed to rebuild an estimator bit-identically: the prior, the
-/// EWMA, the total observation count, and the retained window in logical
-/// (oldest-to-newest) order. Serialized into journal snapshots (net/journal).
+/// total group count, and the retained window in oldest-to-newest order.
+/// Serialized into journal snapshots (net/journal).
 struct RateEstimatorCheckpoint {
   Cycles prior = 0.0;
-  Cycles ewma = 0.0;
-  std::uint64_t samples = 0;
-  std::vector<Cycles> window;
+  std::uint64_t groups = 0;
+  std::vector<ArrivalGroup> window;
+};
+
+struct RateEstimate {
+  Cycles tau0 = 0.0;
+  /// Relative standard error of tau0 over the window (0 while cold, with
+  /// fewer than two groups, or when every group has the same gap per item).
+  double relative_se = 0.0;
 };
 
 class RateEstimator {
  public:
-  /// `prior_tau0` seeds the EWMA and is reported until min_samples gaps have
-  /// been observed.
+  /// `prior_tau0` is reported until min_samples groups have been observed.
   RateEstimator(Cycles prior_tau0, RateEstimatorConfig config);
 
-  /// Observe one inter-arrival gap (> 0; non-positive gaps are clamped to a
-  /// tiny epsilon so simultaneous arrivals cannot poison the estimate).
-  /// Inline: the service worker calls this once per offered arrival, and the
-  /// call itself must stay negligible next to executing the item. The slot
-  /// store is relaxed and the count bump is a release — both plain stores on
-  /// x86, so this costs the same as the old ring push.
-  void observe_gap(Cycles gap) {
-    if (!(gap > 0.0)) gap = 1e-9;  // simultaneous arrivals
-    ewma_ = (1.0 - config_.alpha) * ewma_ + config_.alpha * gap;
-    window_[write_idx_].store(gap, std::memory_order_relaxed);
-    if (++write_idx_ == config_.window) write_idx_ = 0;
-    samples_.store(samples_.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_release);
+  /// Observe one arrival group (`count` > 0 items). A negative gap — a stamp
+  /// that lands before the previous group's, when producers race — is
+  /// clamped to 0: the items count, the span does not grow.
+  void observe_group(Cycles gap, std::uint64_t count) {
+    RIPPLE_REQUIRE(count > 0, "an arrival group holds at least one item");
+    window_[write_idx_] = ArrivalGroup{gap > 0.0 ? gap : 0.0, count};
+    if (++write_idx_ == window_.size()) write_idx_ = 0;
+    ++groups_;
   }
 
-  /// Smoothed inter-arrival estimate tau0_hat (the prior until warm).
-  /// Worker-only, like observe_gap.
-  Cycles tau0() const noexcept { return warm() ? ewma_ : prior_; }
-  /// Estimated arrival rate rho0_hat = 1 / tau0_hat. Worker-only.
-  double rate() const noexcept { return 1.0 / tau0(); }
+  /// tau0_hat and its relative standard error (the prior and 0 until warm).
+  RateEstimate estimate() const;
+  Cycles tau0() const { return estimate().tau0; }
+  /// Estimated arrival rate rho0_hat = 1 / tau0_hat.
+  double rate() const { return 1.0 / tau0(); }
 
-  /// q-quantile (q in [0, 1]) of the windowed gaps: the value v such that at
-  /// least ceil(q * n) of the retained gaps are <= v. Returns the prior
-  /// while the window is empty. Deterministic given the same gap sequence
-  /// when quiescent; safe (approximate) against a concurrent observe_gap —
-  /// the snapshot is taken into a buffer local to the call.
-  Cycles gap_quantile(double q) const;
-
-  std::uint64_t samples() const noexcept {
-    return samples_.load(std::memory_order_relaxed);
-  }
-  bool warm() const noexcept { return samples() >= config_.min_samples; }
+  /// Groups observed since construction or the last reset.
+  std::uint64_t samples() const noexcept { return groups_; }
+  bool warm() const noexcept { return groups_ >= config_.min_samples; }
 
   void reset(Cycles prior_tau0);
 
-  /// Snapshot the full estimator state (worker thread, or quiescent).
   RateEstimatorCheckpoint checkpoint() const;
-  /// Rebuild from a checkpoint: the restored estimator is bit-identical to
-  /// one that observed the checkpointed history directly (same future
-  /// estimates, quantiles, and warm() transitions).
+  /// Rebuild from a checkpoint: the restored estimator reports the same
+  /// estimates and warm() transitions as one that observed the history.
   void restore(const RateEstimatorCheckpoint& state);
 
  private:
+  /// Index of the oldest retained group.
+  std::size_t oldest() const noexcept {
+    return groups_ >= window_.size() ? write_idx_ : 0;
+  }
+  std::size_t retained() const noexcept {
+    return groups_ >= window_.size() ? window_.size()
+                                     : static_cast<std::size_t>(groups_);
+  }
+
   RateEstimatorConfig config_;
   Cycles prior_ = 0.0;
-  Cycles ewma_ = 0.0;
-  std::size_t write_idx_ = 0;  ///< next slot to overwrite (worker-only)
-  std::atomic<std::uint64_t> samples_{0};
-  /// Circular gap window. Slots are atomic so a stats reader polling
-  /// gap_quantile never races the worker's overwrites (each slot value is a
-  /// whole observation, never torn).
-  std::unique_ptr<std::atomic<Cycles>[]> window_;
+  std::uint64_t groups_ = 0;
+  std::size_t write_idx_ = 0;  ///< next slot to overwrite
+  std::vector<ArrivalGroup> window_;  ///< circular, config_.window slots
 };
 
 }  // namespace ripple::control

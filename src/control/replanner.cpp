@@ -1,5 +1,6 @@
 #include "control/replanner.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -118,7 +119,8 @@ void Replanner::restore(const ReplannerCheckpoint& state) {
   store_.restore(std::move(plan));
 }
 
-ReplanDecision Replanner::consider(Cycles tau0_hat, bool force) {
+ReplanDecision Replanner::consider(Cycles tau0_hat, bool force,
+                                   double relative_se) {
   ++ticks_;
   ReplanDecision decision;
   decision.target_tau0 = clamp_target(tau0_hat, decision.shedding);
@@ -128,7 +130,8 @@ ReplanDecision Replanner::consider(Cycles tau0_hat, bool force) {
   const double drift =
       std::abs(decision.target_tau0 - current->planned_tau0) /
       current->planned_tau0;
-  const bool drifted = drift > config_.drift_threshold;
+  const bool drifted =
+      drift > std::max(config_.drift_threshold, kNoiseBandSigmas * relative_se);
   const bool cooled =
       ticks_ - last_replan_tick_ >= config_.cooldown_ticks;
 

@@ -11,13 +11,17 @@
 //      is clamped just above the floor and the decision is flagged
 //      `shedding`, telling the admission controller to cut sessions until
 //      the admitted rate fits under the plan.
-//   2. Hysteresis: re-solve only when the target drifts more than
-//      drift_threshold (relative) from the operating point of the published
-//      plan, a cooldown of consider() calls has elapsed, the feasibility
-//      state flipped, or the caller forces it (observed-slack trigger).
-//      Everything else keeps the published plan — steady state costs two
-//      compares, no solver work. A re-solve is one exact closed-form solve
-//      of a few microseconds (BM_ReplanColdSolve in bench/bench_service.cpp).
+//   2. Hysteresis: re-solve only when the target drifts from the operating
+//      point of the published plan by more than the band
+//      max(drift_threshold, kNoiseBandSigmas * se) — se being the
+//      estimator's relative standard error, so a noisy estimate (Poisson
+//      frames) does not replan on its own jitter while a deterministic one
+//      (se = 0) keeps the drift_threshold band — and a cooldown of
+//      consider() calls has elapsed; or the feasibility state flipped; or
+//      the caller forces it (observed-slack trigger). Everything else keeps
+//      the published plan — steady state costs a few compares, no solver
+//      work. A re-solve is one exact closed-form solve of a few microseconds
+//      (BM_ReplanColdSolve in bench/bench_service.cpp).
 //
 // Solved plans are published through the PlanStore's atomic swap; in-flight
 // batches keep executing under the plan they loaded.
@@ -31,8 +35,13 @@
 
 namespace ripple::control {
 
+/// Width of the noise band in estimator standard errors: a target inside
+/// kNoiseBandSigmas * se of the planned operating point is jitter, not drift.
+inline constexpr double kNoiseBandSigmas = 3.0;
+
 struct ReplannerConfig {
-  /// Relative |target - planned| / planned drift that triggers a re-solve.
+  /// Relative |target - planned| / planned drift that triggers a re-solve;
+  /// the floor of the noise band (see kNoiseBandSigmas).
   double drift_threshold = 0.05;
   /// Solve at headroom * tau0_hat, headroom in (0, 1].
   double headroom = 1.0;
@@ -90,9 +99,11 @@ class Replanner {
   Replanner(sdf::PipelineSpec pipeline, core::EnforcedWaitsConfig config,
             Cycles deadline, Cycles initial_tau0, ReplannerConfig replan);
 
-  /// One control tick at estimate tau0_hat. `force` bypasses drift
-  /// hysteresis and cooldown (slack trigger).
-  ReplanDecision consider(Cycles tau0_hat, bool force = false);
+  /// One control tick at estimate tau0_hat with relative standard error
+  /// `relative_se`. `force` bypasses drift hysteresis and cooldown (slack
+  /// trigger).
+  ReplanDecision consider(Cycles tau0_hat, bool force = false,
+                          double relative_se = 0.0);
 
   const core::EnforcedWaitsStrategy& strategy() const noexcept {
     return strategy_;

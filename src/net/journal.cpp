@@ -36,7 +36,9 @@ constexpr std::size_t kRecordFrameSize = 9;  // len + crc + type
 constexpr std::uint32_t kMaxRecordLen = 64u << 20;
 
 constexpr std::uint32_t kSnapshotMagic = 0x534A5052;  // "RPJS" on disk
-constexpr std::uint8_t kSnapshotVersion = 1;
+/// Version 2: the estimator checkpoint is prior, group count and the
+/// (gap, count) group window; the fingerprint carries no EWMA weight.
+constexpr std::uint8_t kSnapshotVersion = 2;
 
 std::string journal_path(const std::string& dir) {
   return dir + "/journal.log";
@@ -49,7 +51,6 @@ void put_fingerprint(std::vector<std::uint8_t>& out,
                      const ControlFingerprint& fp) {
   put_f64(out, fp.deadline);
   put_f64(out, fp.initial_tau0);
-  put_f64(out, fp.alpha);
   put_u64(out, fp.window);
   put_u64(out, fp.min_samples);
   put_f64(out, fp.drift_threshold);
@@ -97,7 +98,6 @@ ControlFingerprint read_fingerprint(Reader& in) {
   ControlFingerprint fp;
   fp.deadline = in.f64();
   fp.initial_tau0 = in.f64();
-  fp.alpha = in.f64();
   fp.window = in.u64();
   fp.min_samples = in.u64();
   fp.drift_threshold = in.f64();
@@ -131,7 +131,6 @@ ControlFingerprint ControlFingerprint::from(
   ControlFingerprint fp;
   fp.deadline = deadline;
   fp.initial_tau0 = initial_tau0;
-  fp.alpha = config.estimator.alpha;
   fp.window = config.estimator.window;
   fp.min_samples = config.estimator.min_samples;
   fp.drift_threshold = config.replanner.drift_threshold;
@@ -144,7 +143,7 @@ ControlFingerprint ControlFingerprint::from(
 
 bool ControlFingerprint::operator==(const ControlFingerprint& other) const {
   return deadline == other.deadline && initial_tau0 == other.initial_tau0 &&
-         alpha == other.alpha && window == other.window &&
+         window == other.window &&
          min_samples == other.min_samples &&
          drift_threshold == other.drift_threshold &&
          headroom == other.headroom &&
@@ -319,9 +318,12 @@ void ArrivalJournal::snapshot_locked() {
   put_f64(body, last_arrival_);
   // Estimator.
   put_f64(body, state.estimator.prior);
-  put_f64(body, state.estimator.ewma);
-  put_u64(body, state.estimator.samples);
-  put_cycles_vector(body, state.estimator.window);
+  put_u64(body, state.estimator.groups);
+  put_u32(body, static_cast<std::uint32_t>(state.estimator.window.size()));
+  for (const control::ArrivalGroup& group : state.estimator.window) {
+    put_f64(body, group.gap);
+    put_u64(body, group.count);
+  }
   // Replanner + plan.
   put_u64(body, state.replanner.ticks);
   put_u64(body, state.replanner.last_replan_tick);
@@ -425,9 +427,16 @@ SnapshotState load_snapshot(const std::vector<std::uint8_t>& file,
   state.records_covered = body.u64();
   state.last_arrival = body.f64();
   state.checkpoint.estimator.prior = body.f64();
-  state.checkpoint.estimator.ewma = body.f64();
-  state.checkpoint.estimator.samples = body.u64();
-  state.checkpoint.estimator.window = read_cycles_vector(body);
+  state.checkpoint.estimator.groups = body.u64();
+  const std::uint32_t groups = body.u32();
+  if (groups > (1u << 24)) throw std::runtime_error("snapshot: absurd window");
+  state.checkpoint.estimator.window.reserve(groups);
+  for (std::uint32_t i = 0; i < groups; ++i) {
+    control::ArrivalGroup group;
+    group.gap = body.f64();
+    group.count = body.u64();
+    state.checkpoint.estimator.window.push_back(group);
+  }
   state.checkpoint.replanner.ticks = body.u64();
   state.checkpoint.replanner.last_replan_tick = body.u64();
   state.checkpoint.replanner.replans = body.u64();
@@ -483,8 +492,8 @@ RecoveryReport recover_journal(const std::string& dir,
 
   // Replay the tail, skipping the records the snapshot already covers. The
   // cadence below mirrors PipelineService::drain_shard exactly: merge + sort
-  // the drain's arrivals, feed max(gap, 1e-9) per arrival, tick; latency
-  // records feed the *next* tick, as live.
+  // the drain's arrivals, feed them through Controller::observe_arrivals,
+  // tick; latency records feed the *next* tick, as live.
   std::uint64_t record_index = 0;
   std::size_t pos = 0;
   std::vector<Cycles> arrivals;
@@ -538,11 +547,7 @@ RecoveryReport recover_journal(const std::string& dir,
           arrivals.push_back(payload.f64());
         }
         std::sort(arrivals.begin(), arrivals.end());
-        for (const Cycles arrival : arrivals) {
-          controller.observe_gap(
-              std::max(arrival - last_arrival, Cycles(1e-9)));
-          last_arrival = arrival;
-        }
+        last_arrival = controller.observe_arrivals(arrivals, last_arrival);
         controller.tick();
         ++report.drains_replayed;
         report.arrivals_replayed += admitted;

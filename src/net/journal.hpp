@@ -22,8 +22,9 @@
 // CRC and discarded on recovery.
 //
 // Every snapshot_records records, the journal checkpoints the controller
-// (control::ControllerCheckpoint — estimator window, EWMA, hysteresis
-// counters, published plan with its epoch), the drain loop's last-arrival
+// (control::ControllerCheckpoint — estimator prior, group count and
+// (gap, count) window, hysteresis counters, published plan with its
+// epoch), the drain loop's last-arrival
 // carry, and the open-session table into snapshot.bin (temp + rename, so a
 // crash mid-snapshot leaves the previous one intact). The journal is always
 // flushed before the snapshot is written, so a snapshot's records_covered
@@ -31,10 +32,11 @@
 //
 // Recovery (recover_journal) = restore the snapshot, then replay the
 // journal tail through the same controller cadence drain_shard uses: merge
-// admitted + shed arrivals, sort, feed max(gap, 1e-9) per arrival, tick,
+// admitted + shed arrivals, sort, feed them through the one arrival feed
+// (Controller::observe_arrivals, one group per run of equal stamps), tick,
 // then apply the batch latencies. Because the estimator, re-planner, and
-// solver are deterministic, the recovered controller — its EWMA, quantile
-// window, plan epoch, and firing intervals — is bit-identical to the
+// solver are deterministic, the recovered controller — its group window,
+// plan epoch, and firing intervals — is bit-identical to the
 // uninterrupted run at the same record boundary (pinned by
 // tests/test_net_journal.cpp). A killed server therefore converges to the
 // same plan it would have been running, not an approximation of it.
@@ -60,7 +62,6 @@ namespace ripple::net {
 struct ControlFingerprint {
   double deadline = 0.0;
   double initial_tau0 = 0.0;
-  double alpha = 0.0;
   std::uint64_t window = 0;
   std::uint64_t min_samples = 0;
   double drift_threshold = 0.0;

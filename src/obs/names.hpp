@@ -47,7 +47,8 @@ inline constexpr std::string_view kInstantNames[] = {
 inline constexpr std::string_view kCounterNames[] = {
     "queue_depth",        // sim/runtime: node input-queue depth at firing
     "block_items",        // monolithic sim: items per block
-    "control.tau0_est",   // controller: EWMA inter-arrival estimate
+    "control.tau0_est",   // controller: windowed items-over-span
+                          // inter-arrival estimate tau0_hat
     "service.failed_batches",  // service worker: the shard's cumulative
                                // failed executor batches (host)
     "graph.queue_depth",  // graph sim/executor: per-in-edge queue depth at
@@ -64,6 +65,14 @@ inline constexpr std::string_view kCounterNames[] = {
 inline constexpr std::string_view kCounterFamilies[] = {
     "service.shard.",
 };
+
+// Registry counters for failed service batches, one per executor failure
+// code (obs::Registry metrics, not trace events). Their sum is the
+// `service.failed_batches` counter.
+inline constexpr std::string_view kFailedBatchesStageException =
+    "service.failed_batches.stage_exception";
+inline constexpr std::string_view kFailedBatchesEventBudget =
+    "service.failed_batches.event_budget";
 
 inline bool is_known_span(std::string_view name) {
   for (std::string_view known : kSpanNames) {

@@ -30,7 +30,10 @@ ReplayReport replay_trace(const sdf::PipelineSpec& pipeline,
 
   std::size_t admitted_sessions = controller.admitted_sessions(config.sessions);
   std::vector<Cycles> offered_gaps;
+  std::vector<Cycles> offered_stamps;
   std::vector<Cycles> admitted_gaps;
+  Cycles clock = 0.0;       // virtual arrival time of the newest offered item
+  Cycles last_stamp = 0.0;  // the controller feed's carry, as in drain_shard
   sim::TrialMetrics metrics;
 
   for (std::size_t chunk = 0; chunk < config.chunks; ++chunk) {
@@ -88,9 +91,12 @@ ReplayReport replay_trace(const sdf::PipelineSpec& pipeline,
       controller.observe_worst_latency(record.worst_latency);
     }
 
-    // 4. Feed the offered gaps, tick, and recompute admission for the next
-    // chunk — the same between-batches cadence as the live worker.
-    for (const Cycles gap : offered_gaps) controller.observe_gap(gap);
+    // 4. Feed the offered arrivals as stamps through the same feed the live
+    // worker uses, tick, and recompute admission for the next chunk — the
+    // same between-batches cadence as the live worker.
+    offered_stamps.clear();
+    for (const Cycles gap : offered_gaps) offered_stamps.push_back(clock += gap);
+    last_stamp = controller.observe_arrivals(offered_stamps, last_stamp);
     const control::ControlDecision decision = controller.tick();
     record.tau0_estimate = decision.tau0_estimate;
     admitted_sessions = controller.admitted_sessions(config.sessions);

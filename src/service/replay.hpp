@@ -14,8 +14,10 @@
 //        the next admitted arrival's gap, exactly like the live watermark;
 //     3. simulate the admitted stream for the chunk under the plan loaded
 //        at chunk start (sim::simulate_enforced_waits + TraceArrivals);
-//     4. feed every *offered* gap plus the chunk's worst observed latency
-//        to the controller and tick() it, then recompute the admission cut
+//     4. feed every *offered* arrival (as a virtual-time stamp, through
+//        the same Controller::observe_arrivals the live drain uses) plus the
+//        chunk's worst observed latency to the controller and tick() it,
+//        then recompute the admission cut
 //        — mirroring the service worker's drain loop, where plan swaps and
 //        admission changes land between batches, never inside one.
 //

@@ -12,6 +12,7 @@
 #include "util/assert.hpp"
 
 #if RIPPLE_OBS
+#include "obs/names.hpp"
 #include "obs/obs.hpp"
 #endif
 
@@ -177,7 +178,7 @@ SubmitOutcome PipelineService::submit(SessionId id,
     // an already-signalled worker re-checks the count before sleeping.
     if (shard.shed_since_drain.fetch_add(items.size(),
                                          std::memory_order_relaxed) == 0) {
-      shard.worker_cv.notify_one();
+      wake(shard);
     }
 #if RIPPLE_OBS
     if (obs::enabled()) {
@@ -216,11 +217,12 @@ SubmitOutcome PipelineService::submit(SessionId id,
                                    std::memory_order_relaxed);
   if (outcome.accepted > 0) {
     // Coalesced wakeup (see above): one notify per idle period, not one per
-    // submission. The worker's 1 ms wait_for bounds the cost of the benign
-    // race where it is mid-drain when the count rises from zero.
+    // submission. Only the worker lowers the count, and it never sleeps
+    // while the count is non-zero, so the first rise from zero after it
+    // goes to sleep is the one that must (and does) wake it.
     if (shard.pending_count.fetch_add(outcome.accepted,
                                       std::memory_order_relaxed) == 0) {
-      shard.worker_cv.notify_one();
+      wake(shard);
     }
 #if RIPPLE_OBS
     else if (obs::enabled()) {
@@ -249,12 +251,21 @@ void PipelineService::stop() {
     if (!running_) return;
     stop_requested_.store(true, std::memory_order_relaxed);
   }
-  for (auto& shard : shards_) shard->worker_cv.notify_one();
+  for (auto& shard : shards_) wake(*shard);
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
   }
   std::lock_guard<std::mutex> lock(lifecycle_mutex_);
   running_ = false;
+}
+
+void PipelineService::wake(Shard& shard) {
+  // The notifier's state change (a count rising from zero, or the stop flag)
+  // is already stored. Locking the mutex orders the notify after the worker
+  // either re-checks its predicate — and sees the change — or is blocked in
+  // wait(), which releases the mutex only once the thread is waiting.
+  { std::lock_guard<std::mutex> lock(shard.worker_mutex); }
+  shard.worker_cv.notify_one();
 }
 
 void PipelineService::worker_loop(Shard& shard) {
@@ -280,7 +291,7 @@ void PipelineService::worker_loop(Shard& shard) {
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(shard.worker_mutex);
-      shard.worker_cv.wait_for(lock, std::chrono::milliseconds(1), [&] {
+      shard.worker_cv.wait(lock, [&] {
         return stop_requested_.load(std::memory_order_relaxed) ||
                shard.pending_count.load(std::memory_order_relaxed) > 0 ||
                shard.shed_since_drain.load(std::memory_order_relaxed) > 0;
@@ -328,12 +339,16 @@ std::size_t PipelineService::drain_shard(Shard& shard) {
       shard.drain_scratch.push_back(std::move(pending));
     }
   }
+  // Reset the shed count *before* taking the shed arrivals: a shed submit
+  // that lands after the swap then raises the count from zero and wakes the
+  // worker. Resetting after the swap could erase that submit's count and
+  // leave its arrivals pending while the worker sleeps.
+  shard.shed_since_drain.store(0, std::memory_order_relaxed);
   std::vector<Cycles> shed_times;
   {
     std::lock_guard<std::mutex> lock(shard.shed_mutex);
     shed_times.swap(shard.shed_arrivals);
   }
-  shard.shed_since_drain.store(0, std::memory_order_relaxed);
   if (shard.drain_scratch.empty() && shed_times.empty()) return 0;
   shard.pending_count.fetch_sub(shard.drain_scratch.size(),
                                 std::memory_order_relaxed);
@@ -383,22 +398,19 @@ std::size_t PipelineService::drain_shard(Shard& shard) {
     ingest_observer_->on_drain(shard.observer_scratch, shed_times);
   }
 
-  // Feed the controller the *offered* stream's inter-arrival gaps: admitted
-  // arrivals merged with the timestamps of shed submissions. Estimating from
-  // admitted arrivals alone would hide exactly the overload that triggered
-  // shedding — and a fully shed shard would never see the load drop.
-  std::vector<Cycles> arrivals;
-  arrivals.reserve(shard.drain_scratch.size() + shed_times.size());
+  // Feed the controller the *offered* stream: admitted arrivals merged with
+  // the timestamps of shed submissions. Estimating from admitted arrivals
+  // alone would hide exactly the overload that triggered shedding — and a
+  // fully shed shard would never see the load drop.
+  std::vector<Cycles>& arrivals = shard.arrival_scratch;
+  arrivals.clear();
   for (const Pending& pending : shard.drain_scratch) {
     arrivals.push_back(pending.arrival);
   }
   arrivals.insert(arrivals.end(), shed_times.begin(), shed_times.end());
   std::sort(arrivals.begin(), arrivals.end());
-  for (const Cycles arrival : arrivals) {
-    shard.controller.observe_gap(
-        std::max(arrival - shard.last_arrival, Cycles(1e-9)));
-    shard.last_arrival = arrival;
-  }
+  shard.last_arrival =
+      shard.controller.observe_arrivals(arrivals, shard.last_arrival);
 
   const control::ControlDecision decision = shard.controller.tick();
 #if RIPPLE_OBS
@@ -482,19 +494,31 @@ void PipelineService::execute_batch(Shard& shard,
   shard.executed_items.fetch_add(batch.size(), std::memory_order_relaxed);
   if (!result.ok()) {
     // A stage threw or the event budget ran out: the items are spent. Count
-    // them so the loss is visible, then keep serving.
-    shard.failed_batches.fetch_add(1, std::memory_order_relaxed);
+    // them by failure code so the loss is visible, then keep serving. The
+    // service always hands the executor a well-formed config, so these are
+    // the only two codes a batch can fail with.
+    const bool budget = result.error().code == "event_budget";
+    (budget ? shard.failed_event_budget : shard.failed_stage_exception)
+        .fetch_add(1, std::memory_order_relaxed);
     shard.failed_items.fetch_add(batch.size(), std::memory_order_relaxed);
 #if RIPPLE_OBS
     if (obs::enabled()) {
-      obs::Registry::global().counter("service.failed_batches")->add(1);
+      obs::Registry& registry = obs::Registry::global();
+      registry.counter("service.failed_batches")->add(1);
+      registry
+          .counter(budget ? obs::names::kFailedBatchesEventBudget
+                          : obs::names::kFailedBatchesStageException)
+          ->add(1);
     }
     if (trace.active()) {
       trace.counter(obs::Domain::kHost, trace.track(),
                     "service.failed_batches",
                     obs::TraceSession::global().host_now_us(),
-                    static_cast<double>(shard.failed_batches.load(
-                        std::memory_order_relaxed)));
+                    static_cast<double>(
+                        shard.failed_stage_exception.load(
+                            std::memory_order_relaxed) +
+                        shard.failed_event_budget.load(
+                            std::memory_order_relaxed)));
     }
 #endif
     return;
@@ -568,11 +592,15 @@ ServiceStats PipelineService::stats() const {
     stats.batches += shard->batches.load(std::memory_order_relaxed);
     stats.executed_items +=
         shard->executed_items.load(std::memory_order_relaxed);
-    stats.failed_batches +=
-        shard->failed_batches.load(std::memory_order_relaxed);
+    stats.failed_stage_exception +=
+        shard->failed_stage_exception.load(std::memory_order_relaxed);
+    stats.failed_event_budget +=
+        shard->failed_event_budget.load(std::memory_order_relaxed);
     stats.failed_items += shard->failed_items.load(std::memory_order_relaxed);
     stats.open_sessions += shard->open_count.load(std::memory_order_relaxed);
   }
+  stats.failed_batches =
+      stats.failed_stage_exception + stats.failed_event_budget;
   stats.plan_epoch = shards_.front()->controller.epoch();
   return stats;
 }
@@ -585,7 +613,12 @@ ShardStats PipelineService::shard_stats(std::size_t shard) const {
   stats.open_sessions = s.open_count.load(std::memory_order_relaxed);
   stats.batches = s.batches.load(std::memory_order_relaxed);
   stats.executed_items = s.executed_items.load(std::memory_order_relaxed);
-  stats.failed_batches = s.failed_batches.load(std::memory_order_relaxed);
+  stats.failed_stage_exception =
+      s.failed_stage_exception.load(std::memory_order_relaxed);
+  stats.failed_event_budget =
+      s.failed_event_budget.load(std::memory_order_relaxed);
+  stats.failed_batches =
+      stats.failed_stage_exception + stats.failed_event_budget;
   stats.failed_items = s.failed_items.load(std::memory_order_relaxed);
   stats.plan_epoch = s.controller.epoch();
   stats.queue_depth = s.last_drain_depth.load(std::memory_order_relaxed);

@@ -24,15 +24,20 @@
 //     the condition variable is only notified on the shard's empty ->
 //     non-empty transition, so a hot submit path never pays one notify per
 //     batch while the worker is already awake.
+//   * Each shard worker sleeps on its condition variable with no timeout
+//     until it has work: an idle shard costs no CPU. Every notifier takes
+//     the worker mutex for an instant before notifying, which closes the
+//     window between the worker's predicate check and its block (see
+//     PipelineService::wake).
 //   * Each shard worker drains its MPSC queue (O(items), independent of how
 //     many sessions are open), sorts the drained batch into arrival order,
-//     feeds the observed inter-arrival gaps of its substream to its
-//     controller, ticks it (possibly re-solving and hot-swapping the
-//     shard's plan), publishes its load to the AdmissionLedger, refreshes
-//     its admission watermark through the ledger's global clamp, and
-//     executes the batch through its own PipelineExecutor under the plan
-//     loaded at batch start — a plan swap mid-batch never affects a batch
-//     already running.
+//     feeds the offered arrival stamps of its substream to its controller
+//     (one estimator group per run of equal stamps), ticks it (possibly
+//     re-solving and hot-swapping the shard's plan), publishes its load to
+//     the AdmissionLedger, refreshes its admission watermark through the
+//     ledger's global clamp, and executes the batch through its own
+//     PipelineExecutor under the plan loaded at batch start — a plan swap
+//     mid-batch never affects a batch already running.
 //   * Counters are relaxed atomics; plan pointers are per-shard PlanStore
 //     snapshots. No lock is ever held across an executor run.
 //
@@ -93,7 +98,8 @@ struct ArrivalRecord {
 /// journal replay bit-identical:
 ///
 ///   on_drain(admitted, shed)  — once per non-empty drain, *before* the
-///       worker feeds the merged gap stream to the controller and ticks it.
+///       worker feeds the merged arrival stamps to the controller and ticks
+///       it.
 ///       `admitted` is the drained batch in executed (arrival, seq) order;
 ///       `shed` is the raw shed-arrival timestamps swapped out this drain.
 ///   on_batch_latency(worst)   — after each executed batch that produced
@@ -156,10 +162,12 @@ struct ServiceStats {
   std::uint64_t batches = 0;
   /// Items handed to the executor, including those of failed batches.
   std::uint64_t executed_items = 0;
-  /// Batches whose executor run failed (a stage threw or the event budget
-  /// ran out) and the items they carried: spent, produced no sink output,
-  /// and are counted here rather than dropped silently.
+  /// Batches whose executor run failed and the items they carried: spent,
+  /// produced no sink output, and are counted here rather than dropped
+  /// silently. failed_batches is the sum of the per-code counts.
   std::uint64_t failed_batches = 0;
+  std::uint64_t failed_stage_exception = 0;  ///< a stage threw
+  std::uint64_t failed_event_budget = 0;     ///< the event budget ran out
   std::uint64_t failed_items = 0;
   std::uint64_t sink_outputs = 0;
   std::uint64_t deadline_misses = 0;
@@ -175,7 +183,9 @@ struct ShardStats {
   std::uint64_t open_sessions = 0;
   std::uint64_t batches = 0;
   std::uint64_t executed_items = 0;
-  std::uint64_t failed_batches = 0;
+  std::uint64_t failed_batches = 0;  ///< sum of the two per-code counts
+  std::uint64_t failed_stage_exception = 0;
+  std::uint64_t failed_event_budget = 0;
   std::uint64_t failed_items = 0;
   std::uint64_t plan_epoch = 0;
   std::size_t queue_depth = 0;       ///< pending at the last drain
@@ -258,8 +268,7 @@ class PipelineService {
   control::PlanPtr plan(std::size_t shard) const;
   /// Shard 0's controller, for the unsharded tests/CLI. The controller is
   /// written by its shard worker; read it only when the workers are stopped
-  /// (tests) — the plan()/epoch() accessors and the estimator's
-  /// gap_quantile() (atomic-slot window) are the exceptions and are always
+  /// (tests) — the plan()/epoch() accessors are the exception and are always
   /// safe against a running worker.
   const control::Controller& controller() const { return controller(0); }
   const control::Controller& controller(std::size_t shard) const;
@@ -305,11 +314,13 @@ class PipelineService {
 
     std::atomic<std::uint64_t> batches{0};
     std::atomic<std::uint64_t> executed_items{0};
-    std::atomic<std::uint64_t> failed_batches{0};
+    std::atomic<std::uint64_t> failed_stage_exception{0};
+    std::atomic<std::uint64_t> failed_event_budget{0};
     std::atomic<std::uint64_t> failed_items{0};
     std::atomic<std::size_t> last_drain_depth{0};
 
-    Cycles last_arrival = 0.0;  ///< worker-only: previous observed arrival
+    /// Worker-only: newest offered arrival stamp fed to the controller.
+    Cycles last_arrival = 0.0;
     /// Worker-only: worst batch latency since the last ledger publish (the
     /// readable copy lives in the ledger slot).
     Cycles worst_latency_interval = 0.0;
@@ -320,10 +331,15 @@ class PipelineService {
 
     std::vector<Pending> drain_scratch;  ///< worker-only batch buffer
     std::vector<Pending> batch_scratch;  ///< worker-only executor slice
+    std::vector<Cycles> arrival_scratch;  ///< worker-only offered stamps
     std::vector<ArrivalRecord> observer_scratch;  ///< worker-only, journal
   };
 
   Cycles now() const;
+  /// Wake the shard's worker. Takes worker_mutex for an instant before
+  /// notifying: a worker that has checked its predicate holds the mutex
+  /// until it blocks, so the notify cannot fall between check and block.
+  static void wake(Shard& shard);
   void worker_loop(Shard& shard);
   /// Drain + execute everything currently pending on one shard (its worker,
   /// or drain_once on the caller's thread).

@@ -2,8 +2,8 @@
 // A service run with the journal attached, killed at an arbitrary record
 // boundary (modeled by copying the journal directory mid-run), must recover
 // to a controller whose checkpoint is bit-for-bit equal to the live
-// controller at the same boundary — same EWMA, same quantile window, same
-// plan epoch and firing intervals. Also covers snapshot+tail recovery, torn
+// controller at the same boundary — same arrival-group window, same plan
+// epoch and firing intervals. Also covers snapshot+tail recovery, torn
 // tails, fingerprint mismatches, and group-commit bookkeeping.
 #include "net/journal.hpp"
 
@@ -43,6 +43,10 @@ service::ServiceConfig base_config() {
   service::ServiceConfig config;
   config.deadline = 600.0;
   config.initial_tau0 = 20.0;
+  // Each round's submit is one arrival group: warm after 4 of them, so the
+  // recovered runs cover a live estimate and its re-plans, not just the
+  // prior.
+  config.controller.estimator.min_samples = 4;
   return config;
 }
 
@@ -89,8 +93,7 @@ control::Controller make_controller(const sdf::PipelineSpec& spec,
 bool checkpoints_equal(const control::ControllerCheckpoint& a,
                        const control::ControllerCheckpoint& b) {
   return a.estimator.prior == b.estimator.prior &&
-         a.estimator.ewma == b.estimator.ewma &&
-         a.estimator.samples == b.estimator.samples &&
+         a.estimator.groups == b.estimator.groups &&
          a.estimator.window == b.estimator.window &&
          a.replanner.ticks == b.replanner.ticks &&
          a.replanner.last_replan_tick == b.replanner.last_replan_tick &&
@@ -169,6 +172,10 @@ TEST(NetJournal, KillAndRecoverConvergesBitIdentically) {
   EXPECT_EQ(report.arrivals_replayed, 7u * 16u);
   EXPECT_EQ(report.torn_bytes, 0u);
   EXPECT_EQ(report.open_sessions.size(), 2u);
+  // Warm after 4 rounds, the live estimate (wall-clock span over 16-item
+  // groups, far above the prior of 20 cycles) has replanned: recovery must
+  // reproduce those plans, not just the prior's.
+  EXPECT_GT(at_kill.stats.replans, 0u);
   EXPECT_TRUE(checkpoints_equal(recovered.checkpoint(), at_kill))
       << "recovered controller diverged from the live run at the kill point";
   // The recovered plan is the live plan, not an approximation of it.

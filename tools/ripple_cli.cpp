@@ -478,7 +478,6 @@ int cmd_replay(const sdf::PipelineSpec& pipeline, util::CliParser& cli) {
   config.deadline = cli.get_double("deadline");
   config.initial_tau0 = tau0;
   config.b = parse_b(cli.get_string("b"), pipeline.size());
-  config.controller.estimator.alpha = cli.get_double("alpha");
   config.controller.replanner.drift_threshold = cli.get_double("drift");
   config.controller.replanner.headroom = cli.get_double("headroom");
   config.controller.replanner.cooldown_ticks =
@@ -550,7 +549,6 @@ int cmd_replay(const sdf::PipelineSpec& pipeline, util::CliParser& cli) {
 /// from it is identical on both sides.
 control::ControllerConfig serve_controller_config(const util::CliParser& cli) {
   control::ControllerConfig controller;
-  controller.estimator.alpha = cli.get_double("alpha");
   controller.replanner.headroom = cli.get_double("headroom");
   controller.replanner.drift_threshold = cli.get_double("drift");
   controller.replanner.cooldown_ticks = non_negative_count(cli, "cooldown");
@@ -663,7 +661,10 @@ int cmd_serve(const sdf::PipelineSpec& pipeline, util::CliParser& cli) {
             << util::with_commas(stats.sink_outputs) << ", misses "
             << util::with_commas(stats.deadline_misses) << "\n"
             << "failed batches " << util::with_commas(stats.failed_batches)
-            << ", failed items " << util::with_commas(stats.failed_items)
+            << " (stage_exception "
+            << util::with_commas(stats.failed_stage_exception)
+            << ", event_budget " << util::with_commas(stats.failed_event_budget)
+            << "), failed items " << util::with_commas(stats.failed_items)
             << "\n"
             << "control: " << loop.replans << " replans over " << loop.ticks
             << " ticks, plan epoch " << stats.plan_epoch << ", tau0_est "
@@ -1020,8 +1021,9 @@ int main(int argc, const char** argv) {
   cli.add_int("chunk-items", 256, "replay: arrivals per control interval");
   cli.add_int("chunks", 64, "replay: control intervals");
   cli.add_int("sessions", 4, "replay: symmetric producer sessions");
-  cli.add_double("alpha", 0.05, "replay: rate-estimator EWMA weight");
-  cli.add_double("drift", 0.05, "replay: re-plan drift threshold");
+  cli.add_double("drift", 0.05,
+                 "replay/serve: re-plan drift threshold (the floor of the "
+                 "estimator's 3-standard-error noise band)");
   cli.add_int("cooldown", 1, "replay: ticks between re-solves");
   cli.add_int("producers", 2, "serve: producer threads");
   cli.add_int("shards", 1, "serve: shard workers (sessions hash to a shard)");
