@@ -22,22 +22,20 @@
 //                    k moves to out-edge j, so every stream advances by the
 //                    same matched count and batch boundaries realign.
 //
-// A linear graph delegates wholesale to PipelineExecutor on the lowered
-// PipelineSpec (stages wrapped through the per-item adapter), so results,
-// metrics, and exported traces on chains are bit-identical to the existing
-// engine.
+// GraphExecutor is thin glue over the runtime's engines: it describes the
+// graph as a topology (one queue per edge plus the source's arrival queue;
+// see runtime/executor_internal.hpp), adapts each GraphStageFn to an
+// item-carrying BatchStage, and runs the same vector-wide event loop that
+// PipelineExecutor runs on chains. A merge node's stage reads one item
+// window per in-edge. A linear graph is simply a chain-shaped topology; it
+// runs the same loop under its graph node indices, with the graph.* trace
+// names. Initial firings are pushed in topo_order(), which keeps same-time
+// firings in path order on a chain.
 //
-// Branching graphs run the DAG-native engine: one sequential event loop on
-// the calling thread, like the chain engine. Each FireStart windows its
-// node's consumed lanes out of the in-edge queues into one reused scratch,
-// runs the stage lane by lane, and commits counts and follow-up events
-// before the next event pops. Same-timestamp firings consume disjoint
-// queues and every event a firing pushes lies strictly after `now`, so the
-// pop order — (time, priority, sequence) — is the firing order.
-//
-// run_reference() is the seed-style per-item oracle: one std::deque of
-// (item, root) per edge, the same event cadence, scalar stage calls. The
-// vector engine is golden-tested against it (tests/test_graph_executor.cpp).
+// run_reference() is the per-item oracle over the same topology: one
+// std::deque of (item, root) per queue, the same event cadence, scalar
+// stage calls. It shares no queue or firing code with run(), and the vector
+// engine is golden-tested against it (tests/test_graph_executor.cpp).
 //
 // On RIPPLE_OBS builds each consuming firing emits the kind-specific span
 // ("graph.fire" / "graph.tee" / "graph.merge" / "graph.sync") on the node's
@@ -65,17 +63,8 @@ using runtime::Item;
 using GraphStageFn =
     std::function<void(std::vector<Item>&& inputs, std::vector<Item>& outputs)>;
 
-struct GraphExecutorConfig {
-  std::vector<Cycles> firing_intervals;  ///< x_u per node, by graph index
-  Cycles input_gap = 1.0;                ///< virtual cycles between inputs
-  /// Optional irregular arrival schedule (one positive gap per input); when
-  /// non-empty `input_gap` is ignored.
-  std::vector<Cycles> input_gaps;
-  Cycles deadline = 0.0;  ///< 0 = no miss accounting
-  bool charge_empty_firings = true;
-  std::size_t max_collected_results = 1024;
-  std::uint64_t max_events = 500'000'000;
-};
+/// The run configuration: firing intervals are indexed by graph node index.
+using GraphExecutorConfig = runtime::ExecutorConfig;
 
 class GraphExecutor {
  public:
@@ -84,13 +73,11 @@ class GraphExecutor {
   /// violated.
   GraphExecutor(GraphSpec graph, std::vector<GraphStageFn> stages);
 
+  ~GraphExecutor();
   GraphExecutor(const GraphExecutor&) = delete;
   GraphExecutor& operator=(const GraphExecutor&) = delete;
 
   const GraphSpec& graph() const noexcept { return graph_; }
-
-  /// True when run() delegates to the linear-chain PipelineExecutor.
-  bool delegates_to_chain() const noexcept { return linear_ != nullptr; }
 
   /// Run inputs through the graph in virtual time. Node metrics in the
   /// result are indexed by graph node index. Failure codes: "bad_config",
@@ -98,23 +85,16 @@ class GraphExecutor {
   util::Result<runtime::ExecutionMetrics> run(
       std::vector<Item> inputs, const GraphExecutorConfig& config) const;
 
-  /// Per-item oracle: identical results and metrics to run(), computed by
-  /// the scalar seed-style engine. Never delegates — on linear graphs this
-  /// independently cross-checks the chain delegation.
+  /// Per-item oracle: identical results, metrics and failures to run(),
+  /// computed by the scalar engine over the same topology.
   util::Result<runtime::ExecutionMetrics> run_reference(
       std::vector<Item> inputs, const GraphExecutorConfig& config) const;
 
  private:
-  util::Result<runtime::ExecutionMetrics> execute_dag(
-      std::vector<Item>& inputs, const GraphExecutorConfig& config) const;
-
   GraphSpec graph_;
   std::vector<GraphStageFn> stages_;
-
-  // Linear delegation: chain position -> graph node index, plus the wrapped
-  // chain executor over the lowered pipeline.
-  std::vector<NodeIndex> chain_order_;
-  std::unique_ptr<runtime::PipelineExecutor> linear_;
+  std::vector<runtime::BatchStage> batch_stages_;
+  std::unique_ptr<const runtime::detail::Topology> topology_;
 };
 
 }  // namespace ripple::graph

@@ -1,21 +1,23 @@
 // SoA lane batches: the data layout of the vector-wide pipeline executor.
 //
 // A firing of node i consumes up to v lanes. Instead of handing the stage v
-// type-erased std::any items one at a time (the seed executor's model, kept
-// as ReferenceExecutor), the vector engine hands it one *dense* batch in
-// structure-of-arrays form: up to kMaxLaneFields parallel u32 columns, one
-// value per lane per column. Items in this repo's real workloads are small
-// POD tuples (a subject position; a (subject, query) hit; a scored hit), so
-// a fixed register file of u32 columns covers them; stages agree on column
-// meaning by convention, like a calling convention, and declare their
-// input/output arity in BatchStage. Signed fields (alignment scores) travel
-// bit-cast through a u32 column.
+// type-erased std::any items one at a time (the per-item model, kept as
+// the ReferenceExecutor oracle), the vector engine hands it one *dense*
+// batch in structure-of-arrays form: up to kMaxLaneFields parallel u32
+// columns, one value per lane per column. Items in this repo's real
+// workloads are small POD tuples (a subject position; a (subject, query)
+// hit; a scored hit), so a fixed register file of u32 columns covers them;
+// stages agree on column meaning by convention, like a calling convention,
+// and declare their input/output arity in BatchStage. Signed fields
+// (alignment scores) travel bit-cast through a u32 column.
 //
-// Stages that cannot use columns — user code written against the classic
-// per-item StageFn — run through the adapter (PipelineExecutor's StageFn
-// constructor), which carries std::any payloads instead of columns
-// (`carries_items`); the engine's queues and compaction work identically in
-// both representations.
+// Stages that cannot use columns carry std::any payloads instead
+// (`carries_items`): per-item StageFn code through adapt_stage (the
+// PipelineExecutor StageFn constructor), and every GraphStageFn, which
+// GraphExecutor wraps the same way. The engine's queues and compaction work
+// identically in both representations. An item-carrying stage reads one
+// item window per in-queue — one on a chain, one per in-edge at a DAG
+// merge node.
 //
 // Output side: a stage appends zero or more outputs per lane, in lane order,
 // through a BatchEmitter. Appends are dense — surviving outputs are written
@@ -71,6 +73,11 @@ struct LaneView {
   /// Per-lane type-erased payloads for adapter stages; null for typed
   /// stages. The stage may move from these (each lane is consumed once).
   Item* items = nullptr;
+  /// Item-carrying stages: `items` holds one window of `lanes` items per
+  /// in-queue, back to back in in-queue order, so lane k of in-queue j is
+  /// items[j * lanes + k]. Chain stages have one window; a DAG merge node's
+  /// stage reads one matched lane from each of its in-edges.
+  std::size_t item_windows = 1;
 };
 
 /// Collector for one firing's outputs: dense SoA columns (or items) plus the

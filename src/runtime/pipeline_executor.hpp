@@ -15,11 +15,14 @@
 // to v lanes (runtime/lane_batch.hpp), and stages with SIMD kernels (see
 // blast/simd_kernels.hpp, cascade/simd_kernels.hpp) process the whole batch
 // with AVX2 when src/device/dispatch.hpp reports support. Per-item StageFn
-// callers keep working through an adapter that wraps each scalar function in
-// a batch loop over std::any lanes; results and metrics are bit-identical to
-// the seed per-item engine, which survives as ReferenceExecutor (the golden
-// oracle and benchmark baseline — see tests/test_runtime_batch.cpp and
-// bench/bench_runtime.cpp).
+// callers keep working through adapt_stage, which walks the batch lane by
+// lane over std::any items.
+//
+// PipelineExecutor is thin glue: it describes the chain as a topology (node
+// i reads queue i, writes queue i + 1) and runs the one vector-wide event
+// loop in runtime/executor_internal.hpp — the same loop GraphExecutor runs
+// on DAGs. ReferenceExecutor runs the per-item oracle over the same
+// topology; tests/test_runtime_batch.cpp holds the two bit-identical.
 //
 // On RIPPLE_OBS builds with recording enabled, each consuming firing emits a
 // "service" trace span and a "queue_depth" counter sample on the stage's
@@ -29,6 +32,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "runtime/lane_batch.hpp"
@@ -38,6 +42,10 @@
 #include "util/types.hpp"
 
 namespace ripple::runtime {
+
+namespace detail {
+struct Topology;
+}
 
 /// One per-item pipeline stage (classic interface): consume `input`, append
 /// zero or more outputs. For the final (sink) stage, appended outputs are
@@ -100,6 +108,7 @@ class PipelineExecutor {
   /// Throws std::logic_error on arity or representation mismatch.
   PipelineExecutor(sdf::PipelineSpec spec, std::vector<BatchStage> stages);
 
+  ~PipelineExecutor();
   PipelineExecutor(const PipelineExecutor&) = delete;
   PipelineExecutor& operator=(const PipelineExecutor&) = delete;
 
@@ -109,9 +118,8 @@ class PipelineExecutor {
   /// an item-carrying stage 0 (i.e. the StageFn constructor, or batch
   /// stages built with adapt_stage).
   /// Failure codes: "bad_config" (malformed intervals, non-positive input
-  /// gap, no inputs), "event_budget", "stage_exception" (a stage threw; all
-  /// items fully emitted before the throw were delivered to the successor
-  /// queue, and the executor remains reusable).
+  /// gap, no inputs), "event_budget", "stage_exception" (a stage threw; the
+  /// message names the node, and the executor remains reusable).
   util::Result<ExecutionMetrics> run(std::vector<Item> inputs,
                                      const ExecutorConfig& config) const;
 
@@ -122,12 +130,9 @@ class PipelineExecutor {
                                            const ExecutorConfig& config) const;
 
  private:
-  util::Result<ExecutionMetrics> execute(const BatchInputs* typed_inputs,
-                                         std::vector<Item>* item_inputs,
-                                         const ExecutorConfig& config) const;
-
   sdf::PipelineSpec pipeline_;
   std::vector<BatchStage> stages_;
+  std::unique_ptr<const detail::Topology> topology_;
 };
 
 }  // namespace ripple::runtime

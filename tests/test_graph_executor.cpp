@@ -72,7 +72,6 @@ TEST(Golden, BranchingBlastVectorMatchesReference) {
   const GraphExecutorConfig config =
       scenario_config(scenario.graph, 1.25, 20.0);
   const GraphExecutor executor(scenario.graph, scenario.stages);
-  EXPECT_FALSE(executor.delegates_to_chain());
 
   auto vector_run = executor.run(scenario_inputs(400), config);
   ASSERT_TRUE(vector_run.ok()) << vector_run.error().message;
@@ -109,7 +108,7 @@ TEST(Golden, TelemetryFaninVectorMatchesReference) {
   EXPECT_EQ(base.nodes[5].items_consumed, 900u);
 }
 
-/// Small linear chain with real per-item stages, for the delegation tests.
+/// Small linear chain with real per-item stages, for the linear-graph tests.
 GraphScenario linear_scenario() {
   auto built = GraphBuilder("linear_hash")
                    .simd_width(16)
@@ -139,17 +138,74 @@ GraphScenario linear_scenario() {
 TEST(LinearDelegation, ChainRunMatchesReferenceOracle) {
   GraphScenario scenario = linear_scenario();
   const GraphExecutor executor(scenario.graph, scenario.stages);
-  EXPECT_TRUE(executor.delegates_to_chain());
 
   const GraphExecutorConfig config =
       scenario_config(scenario.graph, 1.5, 5.0, /*deadline=*/5000.0);
-  // run() goes through the lowered PipelineExecutor; run_reference() is the
-  // independent scalar engine. Equality proves the delegation mapping.
-  auto delegated = executor.run(scenario_inputs(250, 3), config);
-  ASSERT_TRUE(delegated.ok()) << delegated.error().message;
+  // A linear graph is a chain-shaped topology: run() and the per-item
+  // oracle must agree on it as on any DAG.
+  auto vector_run = executor.run(scenario_inputs(250, 3), config);
+  ASSERT_TRUE(vector_run.ok()) << vector_run.error().message;
   auto reference = executor.run_reference(scenario_inputs(250, 3), config);
   ASSERT_TRUE(reference.ok()) << reference.error().message;
-  expect_same_execution(reference.value(), delegated.value());
+  expect_same_execution(reference.value(), vector_run.value());
+}
+
+TEST(LinearGraph, OutOfPathOrderIndicesMatchChainAndOracle) {
+  // The linear_scenario chain with its nodes added sink-first, so graph
+  // indices run against the path: scale (2) -> filter (1) -> emit (0).
+  auto built = GraphBuilder("linear_reversed")
+                   .simd_width(16)
+                   .add_node("emit", NodeKind::kSiso, 20.0)
+                   .add_node("filter", NodeKind::kSiso, 30.0)
+                   .add_node("scale", NodeKind::kSiso, 40.0)
+                   .add_edge(2, 1, make_deterministic(1))
+                   .add_edge(1, 0, make_deterministic(1))
+                   .build();
+  ASSERT_TRUE(built.ok()) << built.error().message;
+  const GraphSpec graph = std::move(built).take();
+  const GraphScenario forward = linear_scenario();
+  const std::vector<GraphStageFn> stages = {
+      forward.stages[2], forward.stages[1], forward.stages[0]};
+  const GraphExecutor executor(graph, stages);
+
+  const GraphExecutorConfig config =
+      scenario_config(graph, 1.5, 5.0, /*deadline=*/150.0);
+  auto run = executor.run(scenario_inputs(250, 3), config);
+  ASSERT_TRUE(run.ok()) << run.error().message;
+  auto reference = executor.run_reference(scenario_inputs(250, 3), config);
+  ASSERT_TRUE(reference.ok()) << reference.error().message;
+  expect_same_execution(reference.value(), run.value());
+  EXPECT_GT(run.value().base.inputs_missed, 0u);
+  EXPECT_LT(run.value().base.inputs_missed, 250u);
+
+  // The lowered chain, position p = graph node path[p], must agree too.
+  const std::vector<NodeIndex>& path = graph.topo_order();
+  ASSERT_EQ(path, (std::vector<NodeIndex>{2, 1, 0}));
+  auto lowered = graph.lower_to_pipeline();
+  ASSERT_TRUE(lowered.ok()) << lowered.error().message;
+  std::vector<runtime::StageFn> chain_stages;
+  runtime::ExecutorConfig chain_config = config;
+  for (std::size_t p = 0; p < path.size(); ++p) {
+    ASSERT_EQ(lowered.value().node(p).name, graph.node(path[p]).name);
+    chain_stages.push_back(
+        [fn = stages[path[p]]](Item&& input, std::vector<Item>& outputs) {
+          std::vector<Item> lane_inputs;
+          lane_inputs.push_back(std::move(input));
+          fn(std::move(lane_inputs), outputs);
+        });
+    chain_config.firing_intervals[p] = config.firing_intervals[path[p]];
+  }
+  const runtime::PipelineExecutor chain(std::move(lowered).take(),
+                                        std::move(chain_stages));
+  auto chain_run = chain.run(scenario_inputs(250, 3), chain_config);
+  ASSERT_TRUE(chain_run.ok()) << chain_run.error().message;
+  runtime::ExecutionMetrics by_graph_index = std::move(chain_run).take();
+  std::vector<sim::NodeMetrics> nodes(path.size());
+  for (std::size_t p = 0; p < path.size(); ++p) {
+    nodes[path[p]] = by_graph_index.base.nodes[p];
+  }
+  by_graph_index.base.nodes = std::move(nodes);
+  expect_same_execution(by_graph_index, run.value());
 }
 
 TEST(Determinism, RandomizedTrialsMatchReference) {

@@ -11,7 +11,12 @@
 #include "arrivals/arrival_process.hpp"
 #include "blast/canonical.hpp"
 #include "core/enforced_waits.hpp"
+#include "dist/gain.hpp"
+#include "graph/graph_executor.hpp"
+#include "graph/scenarios.hpp"
 #include "obs/obs.hpp"
+#include "runtime/pipeline_executor.hpp"
+#include "sdf/pipeline.hpp"
 #include "sim/enforced_sim.hpp"
 #include "util/jsonv.hpp"
 
@@ -198,10 +203,104 @@ TEST_F(ExportTest, PaperCellTraceIsDeterministicAndWellNested) {
   EXPECT_EQ(first, second);
 }
 
+// ------------------------------------------------- executor trace digests
+//
+// Pins the exported Chrome trace of three executor runs byte for byte (as
+// FNV-1a digests): a typed chain through PipelineExecutor::run_batch and
+// both DAG scenarios through GraphExecutor::run. Any change to which spans,
+// counters or instants the executors emit, their names, tracks or virtual
+// timestamps, or to the firing order itself moves a digest.
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+template <typename Run>
+std::string traced_export(Run&& run) {
+  auto& session = TraceSession::global();
+  session.clear();
+  set_enabled(true);
+  run();
+  set_enabled(false);
+  const auto events = session.drain();
+  EXPECT_GT(events.size(), 0u);
+  auto verdict = validate_span_nesting(events);
+  EXPECT_TRUE(verdict.ok()) << verdict.error().message;
+  std::ostringstream out;
+  write_chrome_trace(out, events, session);
+  return out.str();
+}
+
+/// Three typed stages with irregular gains (0-2 outputs per lane), a
+/// deadline tight enough to miss, and charged empty firings, so the trace
+/// carries service spans, queue-depth counters and both instant kinds.
+std::string traced_toy_chain() {
+  const sdf::PipelineSpec spec =
+      sdf::PipelineBuilder("toy_typed")
+          .simd_width(4)
+          .add_node("spread", 6.0, dist::make_deterministic(1))
+          .add_node("thin", 4.0, dist::make_deterministic(1))
+          .add_node("emit", 3.0, dist::make_deterministic(1))
+          .build()
+          .take();
+  std::vector<runtime::BatchStage> stages(3);
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    stages[s].fn = [s](const runtime::LaneView& in, runtime::BatchEmitter& out) {
+      for (std::size_t lane = 0; lane < in.lanes; ++lane) {
+        const std::uint32_t mixed = (in.field[0][lane] ^ (s + 1)) * 2654435761u;
+        const std::uint32_t count = s == 2 ? 1 : (mixed >> 13) % 3;
+        for (std::uint32_t c = 0; c < count; ++c) out.emit(lane, mixed + c);
+      }
+    };
+  }
+  const runtime::PipelineExecutor executor(spec, std::move(stages));
+  runtime::BatchInputs inputs;
+  for (std::uint32_t k = 0; k < 200; ++k) inputs.push(k * 7919u);
+  runtime::ExecutorConfig config;
+  config.firing_intervals = {9.0, 7.0, 5.0};
+  config.input_gap = 2.5;
+  config.deadline = 30.0;
+  return traced_export([&] {
+    const auto result = executor.run_batch(inputs, config);
+    EXPECT_TRUE(result.ok()) << result.error().message;
+    EXPECT_GT(result.value().base.inputs_missed, 0u);
+  });
+}
+
+std::string traced_scenario(graph::GraphScenario scenario, Cycles gap) {
+  const graph::GraphExecutor executor(scenario.graph, scenario.stages);
+  graph::GraphExecutorConfig config;
+  config.firing_intervals = scenario.graph.minimal_firing_intervals();
+  for (Cycles& x : config.firing_intervals) x *= 1.25;
+  config.input_gap = gap;
+  config.deadline = 9000.0;
+  return traced_export([&] {
+    const auto result = executor.run(graph::scenario_inputs(300, 11), config);
+    EXPECT_TRUE(result.ok()) << result.error().message;
+  });
+}
+
+TEST_F(ExportTest, ExecutorTracesArePinned) {
+  EXPECT_EQ(fnv1a(traced_toy_chain()), 0x4cbee760748b3dccULL);
+  EXPECT_EQ(fnv1a(traced_scenario(graph::branching_blast_scenario(), 4.0)),
+            0xa39c7b3f39c97f1cULL);
+  EXPECT_EQ(fnv1a(traced_scenario(graph::telemetry_fanin_scenario(), 12.0)),
+            0xed4beff95e14c2dcULL);
+}
+
 #else
 
 TEST_F(ExportTest, PaperCellTraceIsDeterministicAndWellNested) {
   GTEST_SKIP() << "simulator instrumentation requires -DRIPPLE_OBS=ON";
+}
+
+TEST_F(ExportTest, ExecutorTracesArePinned) {
+  GTEST_SKIP() << "executor instrumentation requires -DRIPPLE_OBS=ON";
 }
 
 #endif  // RIPPLE_OBS

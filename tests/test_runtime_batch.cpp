@@ -457,6 +457,22 @@ TEST(BatchExecutorValidation, RepresentationMismatchThrows) {
                std::logic_error);
 }
 
+TEST(BatchExecutorValidation, IntervalBelowServiceTimeNamesTheNode) {
+  const PipelineExecutor engine(toy_spec(), toy_stage_fns());
+  const ReferenceExecutor reference(toy_spec(), toy_stage_fns());
+  ExecutorConfig config;
+  config.firing_intervals = {40.0, 11.0};  // node "filter" needs 12
+  const auto got = engine.run(toy_inputs(4), config);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.error().code, "bad_config");
+  EXPECT_EQ(got.error().message,
+            "firing interval below service time at node 'filter'");
+  const auto ref = reference.run(toy_inputs(4), config);
+  ASSERT_FALSE(ref.ok());
+  EXPECT_EQ(ref.error().code, "bad_config");
+  EXPECT_EQ(ref.error().message, got.error().message);
+}
+
 // ---------------------------------------------------------------------------
 // Emitter allocation behavior (raw kernel interface)
 // ---------------------------------------------------------------------------
@@ -594,6 +610,29 @@ TEST(BatchExecutorThrow, ExecutorSurfacesStageExceptionAndStaysUsable) {
     EXPECT_EQ(std::any_cast<int>(clean.value().results[i]),
               2 * static_cast<int>(i + 1));
   }
+}
+
+TEST(BatchExecutorThrow, ReferenceSurfacesStageException) {
+  // The oracle reports a throwing stage exactly as the vector engine does:
+  // a "stage_exception" failure naming the node, not an escaping throw.
+  std::vector<StageFn> fns = toy_stage_fns();
+  fns[1] = [](Item&& input, std::vector<Item>&) {
+    if (std::any_cast<int>(input) == 6) throw std::runtime_error("poison");
+  };
+  const PipelineExecutor engine(toy_spec(), fns);
+  const ReferenceExecutor reference(toy_spec(), fns);
+  ExecutorConfig config;
+  config.firing_intervals = {40.0, 40.0};
+  config.input_gap = 5.0;
+
+  const auto got = engine.run(toy_inputs(8), config);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.error().code, "stage_exception");
+  const auto ref = reference.run(toy_inputs(8), config);
+  ASSERT_FALSE(ref.ok());
+  EXPECT_EQ(ref.error().code, "stage_exception");
+  EXPECT_EQ(ref.error().message, "stage 'filter' threw: poison");
+  EXPECT_EQ(ref.error().message, got.error().message);
 }
 
 }  // namespace
