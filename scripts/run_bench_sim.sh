@@ -5,6 +5,12 @@
 # quantum-scheduled simulators plus the supporting engine microbenchmarks
 # (indexed scheduler, ring buffer, batched gain sampling).
 #
+# Every benchmark runs 5 repetitions. The JSON keeps each repetition plus
+# google-benchmark's aggregates (mean, median, stddev, cv); the console
+# shows the aggregates, then one line per benchmark with the median and
+# quartiles of items/sec. Compare medians, not single runs: host clocks
+# drift by tens of percent over minutes.
+#
 # Usage: scripts/run_bench_sim.sh [build-dir] [min-time]
 #   build-dir  defaults to ./build (configured if missing)
 #   min-time   defaults to 0.2 (seconds per benchmark, forwarded to
@@ -27,8 +33,26 @@ FILTER+='|BM_CensoredPoissonSampleN|BM_BernoulliSampleN|BM_EventQueuePushPop'
 "${BUILD_DIR}/bench/bench_micro" \
   --benchmark_filter="${FILTER}" \
   --benchmark_min_time="${MIN_TIME}" \
-  --benchmark_repetitions=1 \
+  --benchmark_repetitions=5 \
+  --benchmark_display_aggregates_only=true \
   --benchmark_out="${REPO_ROOT}/BENCH_sim.json" \
   --benchmark_out_format=json
+
+python3 - "${REPO_ROOT}/BENCH_sim.json" <<'EOF'
+import json
+import statistics
+import sys
+
+doc = json.load(open(sys.argv[1]))
+print(f"host CPUs: {doc['context']['num_cpus']}")
+runs = {}
+for bench in doc["benchmarks"]:
+    if bench.get("run_type") == "iteration" and "items_per_second" in bench:
+        runs.setdefault(bench["run_name"], []).append(bench["items_per_second"])
+for name, rates in runs.items():
+    q1, median, q3 = statistics.quantiles(rates, n=4, method="inclusive")
+    print(f"{name}: median {median / 1e6:.2f}M items/s "
+          f"(q1 {q1 / 1e6:.2f}M, q3 {q3 / 1e6:.2f}M, n = {len(rates)})")
+EOF
 
 echo "Wrote ${REPO_ROOT}/BENCH_sim.json"

@@ -23,10 +23,10 @@
 //                    same matched count and batch boundaries realign.
 //
 // GraphExecutor is thin glue over the runtime's engines: it describes the
-// graph as a topology (one queue per edge plus the source's arrival queue;
-// see runtime/executor_internal.hpp), adapts each GraphStageFn to an
-// item-carrying BatchStage, and runs the same vector-wide event loop that
-// PipelineExecutor runs on chains. A merge node's stage reads one item
+// graph as graph_topology(graph) — one queue per edge plus the source's
+// arrival queue, the same object the graph simulators run over — adapts
+// each GraphStageFn to an item-carrying BatchStage, and runs the same
+// vector-wide event loop that PipelineExecutor runs on chains. A merge node's stage reads one item
 // window per in-edge. A linear graph is simply a chain-shaped topology; it
 // runs the same loop under its graph node indices, with the graph.* trace
 // names. Initial firings are pushed in topo_order(), which keeps same-time
@@ -40,11 +40,11 @@
 // On RIPPLE_OBS builds each consuming firing emits the kind-specific span
 // ("graph.fire" / "graph.tee" / "graph.merge" / "graph.sync") on the node's
 // track and "graph.queue_depth" counter samples per in-edge (edge track id =
-// node count + edge index), mirroring the stochastic graph simulator.
+// node count + edge index), the same names the stochastic graph simulator
+// emits from the same topology.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "graph/graph_spec.hpp"
@@ -73,7 +73,6 @@ class GraphExecutor {
   /// violated.
   GraphExecutor(GraphSpec graph, std::vector<GraphStageFn> stages);
 
-  ~GraphExecutor();
   GraphExecutor(const GraphExecutor&) = delete;
   GraphExecutor& operator=(const GraphExecutor&) = delete;
 
@@ -94,7 +93,7 @@ class GraphExecutor {
   GraphSpec graph_;
   std::vector<GraphStageFn> stages_;
   std::vector<runtime::BatchStage> batch_stages_;
-  std::unique_ptr<const runtime::detail::Topology> topology_;
+  sim::Topology topology_;
 };
 
 }  // namespace ripple::graph

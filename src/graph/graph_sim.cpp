@@ -1,729 +1,22 @@
 #include "graph/graph_sim.hpp"
 
-#include <algorithm>
-#include <limits>
-
-#include "dist/rng.hpp"
-#include "sim/enforced_sim.hpp"
-#include "sim/event_sources.hpp"
-#include "sim/greedy_sim.hpp"
-#include "util/assert.hpp"
-#include "util/ring_buffer.hpp"
-
-#if RIPPLE_OBS
-#include "obs/obs.hpp"
-#endif
-
 namespace ripple::graph {
-
-namespace {
-
-using RootId = std::uint32_t;
-
-enum EventPriority : int {
-  kPriorityFireEnd = 0,
-  kPriorityArrival = 1,
-  kPriorityFireStart = 2,
-};
-
-/// Chain order of a linear graph: node indices along the unique path.
-std::vector<NodeIndex> chain_order_of(const GraphSpec& graph) {
-  std::vector<NodeIndex> order;
-  order.reserve(graph.size());
-  NodeIndex current = graph.source();
-  for (std::size_t step = 0; step < graph.size(); ++step) {
-    order.push_back(current);
-    if (graph.out_edges(current).empty()) break;
-    current = graph.edge(graph.out_edges(current)[0]).to;
-  }
-  return order;
-}
-
-/// Scatter chain-ordered node metrics back to graph node indices (identity
-/// when the graph was built in chain order).
-void scatter_node_metrics(const std::vector<NodeIndex>& chain_order,
-                          sim::TrialMetrics& metrics) {
-  std::vector<sim::NodeMetrics> by_graph_index(metrics.nodes.size());
-  for (std::size_t p = 0; p < chain_order.size(); ++p) {
-    by_graph_index[chain_order[p]] = metrics.nodes[p];
-  }
-  metrics.nodes = std::move(by_graph_index);
-}
-
-#if RIPPLE_OBS
-/// Kind-specific span names — string literals, as obs/trace.hpp requires.
-const char* fire_span_name(NodeKind kind) {
-  switch (kind) {
-    case NodeKind::kSiso:
-      return "graph.fire";
-    case NodeKind::kSimoTee:
-      return "graph.tee";
-    case NodeKind::kMisoElementwise:
-      return "graph.merge";
-    case NodeKind::kMimoSynchronizer:
-      return "graph.sync";
-  }
-  return "graph.fire";
-}
-#endif
-
-}  // namespace
-
-std::vector<Cycles> aligned_graph_phase_offsets(const GraphSpec& graph) {
-  std::vector<Cycles> offsets(graph.size(), 0.0);
-  for (NodeIndex u : graph.topo_order()) {
-    Cycles offset = 0.0;
-    for (EdgeIndex e : graph.in_edges(u)) {
-      const NodeIndex from = graph.edge(e).from;
-      // +epsilon so the consuming firing strictly follows the delivery even
-      // under floating-point ties (matches sim::aligned_phase_offsets).
-      offset = std::max(offset,
-                        offsets[from] + graph.service_time(from) + 1e-6);
-    }
-    offsets[u] = offset;
-  }
-  return offsets;
-}
 
 sim::TrialMetrics simulate_graph_enforced(
     const GraphSpec& graph, const std::vector<Cycles>& firing_intervals,
-    arrivals::ArrivalProcess& arrival_process, const GraphSimConfig& config) {
-  const std::size_t n = graph.size();
-  RIPPLE_REQUIRE(firing_intervals.size() == n, "one firing interval per node");
-  for (NodeIndex u = 0; u < n; ++u) {
-    RIPPLE_REQUIRE(firing_intervals[u] >= graph.service_time(u) - 1e-9,
-                   "firing interval below service time at node " +
-                       graph.node(u).name);
-  }
-  RIPPLE_REQUIRE(config.input_count > 0, "need at least one input");
-  RIPPLE_REQUIRE(config.initial_offsets.empty() ||
-                     config.initial_offsets.size() == n,
-                 "one phase offset per node (or none)");
-
-  if (graph.is_linear()) {
-    // Chain delegation: bit-identical to the paper-path simulator.
-    const std::vector<NodeIndex> order = chain_order_of(graph);
-    auto lowered = graph.lower_to_pipeline();
-    RIPPLE_REQUIRE(lowered.ok(), "linear graph must lower to a pipeline");
-    sim::EnforcedSimConfig chain_config;
-    chain_config.input_count = config.input_count;
-    chain_config.deadline = config.deadline;
-    chain_config.charge_empty_firings = config.charge_empty_firings;
-    chain_config.seed = config.seed;
-    chain_config.max_events = config.max_events;
-    std::vector<Cycles> chain_intervals(n);
-    for (std::size_t p = 0; p < n; ++p) {
-      chain_intervals[p] = firing_intervals[order[p]];
-    }
-    if (!config.initial_offsets.empty()) {
-      chain_config.initial_offsets.resize(n);
-      for (std::size_t p = 0; p < n; ++p) {
-        chain_config.initial_offsets[p] = config.initial_offsets[order[p]];
-      }
-    }
-    sim::TrialMetrics metrics = sim::simulate_enforced_waits(
-        lowered.value(), chain_intervals, arrival_process, chain_config);
-    scatter_node_metrics(order, metrics);
-    return metrics;
-  }
-
-  dist::Xoshiro256 rng(config.seed);
-  const std::uint32_t v = graph.simd_width();
-
+    arrivals::ArrivalProcess& arrival_process,
+    const sim::EnforcedSimConfig& config) {
   sim::TrialMetrics metrics;
-  metrics.reset(n);
-  metrics.vector_width = v;
-  metrics.sharing_actors = n;
-  metrics.arm_latency_histogram(config.deadline);
-
-  // Flat caches for the dispatch loop.
-  std::vector<Cycles> service_time(n);
-  for (NodeIndex u = 0; u < n; ++u) service_time[u] = graph.service_time(u);
-  std::vector<const dist::GainDistribution*> edge_gain(graph.edge_count());
-  for (EdgeIndex e = 0; e < graph.edge_count(); ++e) {
-    edge_gain[e] = graph.edge(e).gain.get();
-  }
-
-  // One queue per edge, plus the source's arrival queue at index edge_count.
-  const std::size_t arrival_queue = graph.edge_count();
-  std::vector<util::RingBuffer<RootId>> queues(graph.edge_count() + 1);
-  for (auto& queue : queues) queue.reserve(4 * v);
-  // In-queue indices per node (the source consumes the arrival queue).
-  std::vector<std::vector<std::size_t>> in_queues(n);
-  for (NodeIndex u = 0; u < n; ++u) {
-    if (u == graph.source()) {
-      in_queues[u] = {arrival_queue};
-    } else {
-      for (EdgeIndex e : graph.in_edges(u)) in_queues[u].push_back(e);
-    }
-  }
-
-  // Outputs of the in-progress firing, one bundle per out-edge slot (sinks
-  // keep their consumed roots in slot 0 until the exit at firing end).
-  std::vector<std::vector<std::vector<RootId>>> in_flight(n);
-  for (NodeIndex u = 0; u < n; ++u) {
-    const std::size_t slots = std::max<std::size_t>(1, graph.out_edges(u).size());
-    in_flight[u].resize(slots);
-    for (std::size_t s = 0; s < slots; ++s) {
-      const std::uint32_t cap =
-          s < graph.out_edges(u).size()
-              ? edge_gain[graph.out_edges(u)[s]]->max_outputs()
-              : 1u;
-      in_flight[u][s].reserve(static_cast<std::size_t>(v) * cap);
-    }
-  }
-  std::vector<dist::OutputCount> gain_draws(v);
-  // Per-lane roots gathered for the current firing (merge tuples take the
-  // first in-edge's root).
-  std::vector<RootId> lane_roots(v);
-
-  std::vector<Cycles> root_arrival;
-  root_arrival.reserve(config.input_count);
-  std::vector<bool> root_missed(config.input_count, false);
-
-  std::uint64_t live_items = 0;
-  bool arrivals_done = false;
-  const Cycles fixed_gap = arrival_process.fixed_interarrival();
-
-  const std::size_t kArrivalSource = 0;
-  const std::size_t kFireStartBase = 1;
-  const std::size_t kFireEndBase = 1 + n;
-  sim::IndexedScheduler events(2 * n + 1);
-
-  events.schedule(kArrivalSource, arrival_process.next_interarrival(rng),
-                  kPriorityArrival);
-  for (NodeIndex u = 0; u < n; ++u) {
-    const Cycles offset =
-        config.initial_offsets.empty() ? 0.0 : config.initial_offsets[u];
-    RIPPLE_REQUIRE(offset >= 0.0, "phase offsets must be non-negative");
-    events.schedule(kFireStartBase + u, offset, kPriorityFireStart);
-  }
-
-#if RIPPLE_OBS
-  // Node tracks carry the spans/instants; each edge gets its own counter
-  // track (id = node count + edge index) so per-edge queue depths stay
-  // separable in the exported timeline.
-  obs::TraceWriter trace = obs::TraceWriter::for_current_thread();
-  if (trace.active()) {
-    for (NodeIndex u = 0; u < n; ++u) {
-      obs::TraceSession::global().set_track_name(
-          obs::Domain::kSim, static_cast<std::uint32_t>(u), graph.node(u).name);
-    }
-    for (EdgeIndex e = 0; e < graph.edge_count(); ++e) {
-      obs::TraceSession::global().set_track_name(
-          obs::Domain::kSim, static_cast<std::uint32_t>(n + e),
-          "edge " + graph.node(graph.edge(e).from).name + "->" +
-              graph.node(graph.edge(e).to).name);
-    }
-  }
-#endif
-
-  std::uint64_t processed_events = 0;
-  while (!events.empty() && processed_events < config.max_events) {
-    const sim::IndexedScheduler::Next event = events.pop();
-    ++processed_events;
-    const Cycles now = event.time;
-
-    if (event.source >= kFireEndBase) {
-      // ------------------------------------------------------------ FireEnd
-      const NodeIndex u = static_cast<NodeIndex>(event.source - kFireEndBase);
-      const std::vector<EdgeIndex>& out = graph.out_edges(u);
-      if (out.empty()) {
-        // Sink exit: slot 0 holds the consumed roots.
-        auto& bundle = in_flight[u][0];
-        for (const RootId root : bundle) {
-          ++metrics.sink_outputs;
-          const Cycles latency = now - root_arrival[root];
-          metrics.record_latency(latency);
-          if (config.deadline > 0.0 &&
-              latency > config.deadline * (1.0 + 1e-12)) {
-            if (!root_missed[root]) {
-              root_missed[root] = true;
-              ++metrics.inputs_missed;
-#if RIPPLE_OBS
-              if (trace.active()) {
-                trace.instant(obs::Domain::kSim, static_cast<std::uint32_t>(u),
-                              "deadline_miss", now, config.deadline - latency);
-              }
-#endif
-            }
-          }
-          metrics.makespan = std::max(metrics.makespan, now);
-        }
-        live_items -= bundle.size();
-        bundle.clear();
-      } else {
-        for (std::size_t s = 0; s < out.size(); ++s) {
-          auto& bundle = in_flight[u][s];
-          auto& queue = queues[out[s]];
-          for (const RootId root : bundle) queue.push_back(root);
-          bundle.clear();
-        }
-      }
-#if RIPPLE_OBS
-      if (trace.active()) {
-        trace.end(obs::Domain::kSim, static_cast<std::uint32_t>(u),
-                  fire_span_name(graph.node(u).kind), now);
-      }
-#endif
-    } else if (event.source >= kFireStartBase) {
-      // ---------------------------------------------------------- FireStart
-      const NodeIndex u = static_cast<NodeIndex>(event.source - kFireStartBase);
-      sim::NodeMetrics& node = metrics.nodes[u];
-      const std::vector<std::size_t>& inputs = in_queues[u];
-
-      // Consumable lanes: elementwise nodes need one matched item per
-      // in-edge, so the min across in-queues gates the batch.
-      std::uint64_t deepest = 0;
-      std::uint64_t matched = std::numeric_limits<std::uint64_t>::max();
-      for (const std::size_t q : inputs) {
-        deepest = std::max<std::uint64_t>(deepest, queues[q].size());
-        matched = std::min<std::uint64_t>(matched, queues[q].size());
-      }
-      node.max_queue_length = std::max(node.max_queue_length, deepest);
-      const NodeKind kind = graph.node(u).kind;
-      const bool elementwise = kind == NodeKind::kMisoElementwise ||
-                               kind == NodeKind::kMimoSynchronizer;
-      const std::uint32_t consumed = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(elementwise ? matched : deepest, v));
-
-#if RIPPLE_OBS
-      if (trace.active()) {
-        for (const std::size_t q : inputs) {
-          // The source's arrival queue reports on the node's own track;
-          // edges report on their dedicated tracks.
-          const std::uint32_t track = q == arrival_queue
-                                          ? static_cast<std::uint32_t>(u)
-                                          : static_cast<std::uint32_t>(n + q);
-          trace.counter(obs::Domain::kSim, track, "graph.queue_depth", now,
-                        static_cast<double>(queues[q].size()));
-        }
-        if (consumed > 0) {
-          trace.begin(obs::Domain::kSim, static_cast<std::uint32_t>(u),
-                      fire_span_name(kind), now);
-        } else if (config.charge_empty_firings) {
-          trace.instant(obs::Domain::kSim, static_cast<std::uint32_t>(u),
-                        "empty_firing", now, service_time[u]);
-        }
-      }
-#endif
-
-      if (consumed > 0 || config.charge_empty_firings) {
-        ++node.firings;
-        if (consumed == 0) ++node.empty_firings;
-        node.active_time += service_time[u];
-      }
-
-      if (consumed > 0) {
-        const std::vector<EdgeIndex>& out = graph.out_edges(u);
-        std::uint64_t produced = 0;
-        switch (kind) {
-          case NodeKind::kSiso: {
-            auto& queue = queues[inputs[0]];
-            node.items_consumed += consumed;
-            if (out.empty()) {
-              // Sink: consumed roots exit at firing end.
-              auto& bundle = in_flight[u][0];
-              for (std::uint32_t k = 0; k < consumed; ++k) {
-                bundle.push_back(queue[k]);
-              }
-            } else {
-              edge_gain[out[0]]->sample_n(rng, gain_draws.data(), consumed);
-              auto& bundle = in_flight[u][0];
-              for (std::uint32_t k = 0; k < consumed; ++k) {
-                const RootId root = queue[k];
-                for (dist::OutputCount o = 0; o < gain_draws[k]; ++o) {
-                  bundle.push_back(root);
-                }
-                produced += gain_draws[k];
-              }
-              live_items += produced;
-              live_items -= consumed;
-            }
-            queue.discard_front(consumed);
-            break;
-          }
-          case NodeKind::kSimoTee: {
-            // Replicate each consumed item's outputs onto every out-edge;
-            // gains are sampled independently per out-edge, in out-edge
-            // insertion order (the RNG-order contract the reference
-            // executor and compliance bench pin down).
-            auto& queue = queues[inputs[0]];
-            node.items_consumed += consumed;
-            for (std::uint32_t k = 0; k < consumed; ++k) {
-              lane_roots[k] = queue[k];
-            }
-            for (std::size_t s = 0; s < out.size(); ++s) {
-              edge_gain[out[s]]->sample_n(rng, gain_draws.data(), consumed);
-              auto& bundle = in_flight[u][s];
-              for (std::uint32_t k = 0; k < consumed; ++k) {
-                for (dist::OutputCount o = 0; o < gain_draws[k]; ++o) {
-                  bundle.push_back(lane_roots[k]);
-                }
-                produced += gain_draws[k];
-              }
-            }
-            live_items += produced;
-            live_items -= consumed;
-            queue.discard_front(consumed);
-            break;
-          }
-          case NodeKind::kMisoElementwise: {
-            // One matched item per in-edge per lane; the combined item
-            // carries the first in-edge's root (all in-edge copies of a
-            // tee'd root re-join here, so any choice names the same root
-            // on rejoining topologies).
-            node.items_consumed +=
-                static_cast<std::uint64_t>(consumed) * inputs.size();
-            for (std::uint32_t k = 0; k < consumed; ++k) {
-              lane_roots[k] = queues[inputs[0]][k];
-            }
-            for (const std::size_t q : inputs) {
-              queues[q].discard_front(consumed);
-            }
-            edge_gain[out[0]]->sample_n(rng, gain_draws.data(), consumed);
-            auto& bundle = in_flight[u][0];
-            for (std::uint32_t k = 0; k < consumed; ++k) {
-              for (dist::OutputCount o = 0; o < gain_draws[k]; ++o) {
-                bundle.push_back(lane_roots[k]);
-              }
-              produced += gain_draws[k];
-            }
-            live_items += produced;
-            live_items -=
-                static_cast<std::uint64_t>(consumed) * inputs.size();
-            break;
-          }
-          case NodeKind::kMimoSynchronizer: {
-            // Stream j forwards to out-edge j with out-edge j's gain; batch
-            // boundaries realign because every stream advances by the same
-            // `consumed` count.
-            node.items_consumed +=
-                static_cast<std::uint64_t>(consumed) * inputs.size();
-            for (std::size_t j = 0; j < inputs.size(); ++j) {
-              auto& queue = queues[inputs[j]];
-              edge_gain[out[j]]->sample_n(rng, gain_draws.data(), consumed);
-              auto& bundle = in_flight[u][j];
-              for (std::uint32_t k = 0; k < consumed; ++k) {
-                const RootId root = queue[k];
-                for (dist::OutputCount o = 0; o < gain_draws[k]; ++o) {
-                  bundle.push_back(root);
-                }
-                produced += gain_draws[k];
-              }
-              queue.discard_front(consumed);
-            }
-            live_items += produced;
-            live_items -=
-                static_cast<std::uint64_t>(consumed) * inputs.size();
-            break;
-          }
-        }
-        node.items_produced += produced;
-        events.schedule(kFireEndBase + u, now + service_time[u],
-                        kPriorityFireEnd);
-      }
-
-      if (!(arrivals_done && live_items == 0)) {
-        events.schedule(kFireStartBase + u, now + firing_intervals[u],
-                        kPriorityFireStart);
-      }
-    } else {
-      // ------------------------------------------------------------ Arrival
-      // Same horizon fast-path as the chain simulator: consume consecutive
-      // arrivals while they provably pop first.
-      const sim::IndexedScheduler::Horizon horizon = events.horizon();
-      Cycles arrival_time = now;
-      auto& queue0 = queues[arrival_queue];
-      while (true) {
-        const RootId root = static_cast<RootId>(root_arrival.size());
-        root_arrival.push_back(arrival_time);
-        queue0.push_back(root);
-        ++live_items;
-        if (root_arrival.size() >= config.input_count) {
-          arrivals_done = true;
-          break;
-        }
-        const Cycles next_time =
-            arrival_time + (fixed_gap > 0.0
-                                ? fixed_gap
-                                : arrival_process.next_interarrival(rng));
-        if (processed_events >= config.max_events ||
-            !horizon.beaten_by(next_time, kPriorityArrival)) {
-          events.schedule(kArrivalSource, next_time, kPriorityArrival);
-          break;
-        }
-        arrival_time = next_time;
-        ++processed_events;
-      }
-    }
-  }
-
-  RIPPLE_REQUIRE(processed_events < config.max_events,
-                 "event budget exhausted (unstable schedule?)");
-  metrics.events_processed = processed_events;
-  metrics.inputs_arrived = root_arrival.size();
-  metrics.inputs_on_time = metrics.inputs_arrived - metrics.inputs_missed;
-  if (metrics.makespan <= 0.0 && !root_arrival.empty()) {
-    metrics.makespan = root_arrival.back();
-  }
+  sim::simulate_enforced_waits_into(graph_topology(graph), firing_intervals,
+                                    arrival_process, config, metrics);
   return metrics;
 }
 
-sim::TrialMetrics simulate_graph_greedy(
-    const GraphSpec& graph, arrivals::ArrivalProcess& arrival_process,
-    const GraphGreedyConfig& config) {
-  const std::size_t n = graph.size();
-  RIPPLE_REQUIRE(config.input_count > 0, "need at least one input");
-  RIPPLE_REQUIRE(config.min_batch >= 1, "min_batch must be at least 1");
-
-  if (graph.is_linear()) {
-    const std::vector<NodeIndex> order = chain_order_of(graph);
-    auto lowered = graph.lower_to_pipeline();
-    RIPPLE_REQUIRE(lowered.ok(), "linear graph must lower to a pipeline");
-    sim::GreedySimConfig chain_config;
-    chain_config.input_count = config.input_count;
-    chain_config.deadline = config.deadline;
-    chain_config.seed = config.seed;
-    chain_config.min_batch = config.min_batch;
-    chain_config.max_firings = config.max_firings;
-    sim::TrialMetrics metrics = sim::simulate_greedy_throughput(
-        lowered.value(), arrival_process, chain_config);
-    scatter_node_metrics(order, metrics);
-    return metrics;
-  }
-
-  dist::Xoshiro256 rng(config.seed);
-  const std::uint32_t v = graph.simd_width();
-  const double exclusive_scale = 1.0 / static_cast<double>(n);
-
-  sim::TrialMetrics metrics;
-  metrics.nodes.resize(n);
-  metrics.vector_width = v;
-  metrics.sharing_actors = 1;
-  metrics.arm_latency_histogram(config.deadline);
-
-  std::vector<Cycles> service_time(n);
-  for (NodeIndex u = 0; u < n; ++u) service_time[u] = graph.service_time(u);
-  std::vector<const dist::GainDistribution*> edge_gain(graph.edge_count());
-  for (EdgeIndex e = 0; e < graph.edge_count(); ++e) {
-    edge_gain[e] = graph.edge(e).gain.get();
-  }
-
-  const std::size_t arrival_queue = graph.edge_count();
-  std::vector<util::RingBuffer<RootId>> queues(graph.edge_count() + 1);
-  for (auto& queue : queues) queue.reserve(4 * v);
-  std::vector<std::vector<std::size_t>> in_queues(n);
-  for (NodeIndex u = 0; u < n; ++u) {
-    if (u == graph.source()) {
-      in_queues[u] = {arrival_queue};
-    } else {
-      for (EdgeIndex e : graph.in_edges(u)) in_queues[u].push_back(e);
-    }
-  }
-  // Topo position for tie-breaking: the deeper node wins.
-  std::vector<std::size_t> topo_position(n, 0);
-  for (std::size_t p = 0; p < graph.topo_order().size(); ++p) {
-    topo_position[graph.topo_order()[p]] = p;
-  }
-
-  std::vector<dist::OutputCount> gain_draws(v);
-  std::vector<RootId> lane_roots(v);
-
-  std::vector<Cycles> root_arrival;
-  root_arrival.reserve(config.input_count);
-  std::vector<bool> root_missed(config.input_count, false);
-
-  Cycles now = 0.0;
-  Cycles next_arrival = arrival_process.next_interarrival(rng);
-  ItemCount generated = 0;
-
-  auto drain_arrivals_until = [&](Cycles time) {
-    while (generated < config.input_count && next_arrival <= time + 1e-12) {
-      const RootId root = static_cast<RootId>(root_arrival.size());
-      root_arrival.push_back(next_arrival);
-      ++metrics.inputs_arrived;
-      queues[arrival_queue].push_back(root);
-      metrics.nodes[graph.source()].max_queue_length = std::max<std::uint64_t>(
-          metrics.nodes[graph.source()].max_queue_length,
-          queues[arrival_queue].size());
-      ++generated;
-      if (generated < config.input_count) {
-        next_arrival += arrival_process.next_interarrival(rng);
-      }
-    }
-  };
-
-#if RIPPLE_OBS
-  obs::TraceWriter trace = obs::TraceWriter::for_current_thread();
-  if (trace.active()) {
-    for (NodeIndex u = 0; u < n; ++u) {
-      obs::TraceSession::global().set_track_name(
-          obs::Domain::kSim, static_cast<std::uint32_t>(u), graph.node(u).name);
-    }
-  }
-#endif
-
-  std::uint64_t firings = 0;
-  while (firings < config.max_firings) {
-    drain_arrivals_until(now);
-    const bool arrivals_done = generated >= config.input_count;
-
-    // Pick the node with the most queued input among those that can
-    // consume; ties go to the deeper node in topo order (drives items
-    // toward the sink). min_batch gates the matched batch mid-stream.
-    std::size_t best = n;
-    std::uint64_t best_queued = 0;
-    std::size_t best_position = 0;
-    for (NodeIndex u = 0; u < n; ++u) {
-      std::uint64_t total = 0;
-      std::uint64_t matched = std::numeric_limits<std::uint64_t>::max();
-      for (const std::size_t q : in_queues[u]) {
-        total += queues[q].size();
-        matched = std::min<std::uint64_t>(matched, queues[q].size());
-      }
-      if (matched == 0) continue;
-      if (!arrivals_done && matched < config.min_batch) continue;
-      if (best == n || total > best_queued ||
-          (total == best_queued && topo_position[u] > best_position)) {
-        best = u;
-        best_queued = total;
-        best_position = topo_position[u];
-      }
-    }
-
-    if (best == n) {
-      // Nothing can consume now. Post-stream this is the drain's end (a
-      // merge may strand unmatched partial tuples; they are dropped, same
-      // as the chain sim drops nothing because SISO never starves).
-      if (arrivals_done) break;
-      now = std::max(now, next_arrival);
-      continue;
-    }
-
-    ++firings;
-    sim::NodeMetrics& node = metrics.nodes[best];
-    const std::vector<std::size_t>& inputs = in_queues[best];
-    std::uint64_t matched = std::numeric_limits<std::uint64_t>::max();
-    for (const std::size_t q : inputs) {
-      matched = std::min<std::uint64_t>(matched, queues[q].size());
-    }
-    const std::uint32_t consumed =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(matched, v));
-    ++node.firings;
-    const Cycles duration = service_time[best] * exclusive_scale;
-    node.active_time += duration;
-#if RIPPLE_OBS
-    if (trace.active()) {
-      trace.counter(obs::Domain::kSim, static_cast<std::uint32_t>(best),
-                    "graph.queue_depth", now, static_cast<double>(matched));
-      trace.begin(obs::Domain::kSim, static_cast<std::uint32_t>(best),
-                  fire_span_name(graph.node(best).kind), now);
-    }
-#endif
-    now += duration;
-
-    const std::vector<EdgeIndex>& out = graph.out_edges(best);
-    const NodeKind kind = graph.node(best).kind;
-    std::uint64_t produced = 0;
-    auto deliver = [&](EdgeIndex e, RootId root, dist::OutputCount outputs) {
-      auto& queue = queues[e];
-      for (dist::OutputCount o = 0; o < outputs; ++o) queue.push_back(root);
-      produced += outputs;
-      metrics.nodes[graph.edge(e).to].max_queue_length = std::max<std::uint64_t>(
-          metrics.nodes[graph.edge(e).to].max_queue_length, queue.size());
-    };
-    if (out.empty()) {
-      auto& queue = queues[inputs[0]];
-      node.items_consumed += consumed;
-      for (std::uint32_t k = 0; k < consumed; ++k) {
-        const RootId root = queue.pop_front();
-        ++metrics.sink_outputs;
-        const Cycles latency = now - root_arrival[root];
-        metrics.record_latency(latency);
-        if (config.deadline > 0.0 &&
-            latency > config.deadline * (1.0 + 1e-12) && !root_missed[root]) {
-          root_missed[root] = true;
-          ++metrics.inputs_missed;
-#if RIPPLE_OBS
-          if (trace.active()) {
-            trace.instant(obs::Domain::kSim, static_cast<std::uint32_t>(best),
-                          "deadline_miss", now, config.deadline - latency);
-          }
-#endif
-        }
-        metrics.makespan = std::max(metrics.makespan, now);
-      }
-    } else {
-      switch (kind) {
-        case NodeKind::kSiso: {
-          auto& queue = queues[inputs[0]];
-          node.items_consumed += consumed;
-          edge_gain[out[0]]->sample_n(rng, gain_draws.data(), consumed);
-          for (std::uint32_t k = 0; k < consumed; ++k) {
-            deliver(out[0], queue.pop_front(), gain_draws[k]);
-          }
-          break;
-        }
-        case NodeKind::kSimoTee: {
-          auto& queue = queues[inputs[0]];
-          node.items_consumed += consumed;
-          for (std::uint32_t k = 0; k < consumed; ++k) {
-            lane_roots[k] = queue.pop_front();
-          }
-          for (std::size_t s = 0; s < out.size(); ++s) {
-            edge_gain[out[s]]->sample_n(rng, gain_draws.data(), consumed);
-            for (std::uint32_t k = 0; k < consumed; ++k) {
-              deliver(out[s], lane_roots[k], gain_draws[k]);
-            }
-          }
-          break;
-        }
-        case NodeKind::kMisoElementwise: {
-          node.items_consumed +=
-              static_cast<std::uint64_t>(consumed) * inputs.size();
-          for (std::uint32_t k = 0; k < consumed; ++k) {
-            lane_roots[k] = queues[inputs[0]][k];
-          }
-          for (const std::size_t q : inputs) queues[q].discard_front(consumed);
-          edge_gain[out[0]]->sample_n(rng, gain_draws.data(), consumed);
-          for (std::uint32_t k = 0; k < consumed; ++k) {
-            deliver(out[0], lane_roots[k], gain_draws[k]);
-          }
-          break;
-        }
-        case NodeKind::kMimoSynchronizer: {
-          node.items_consumed +=
-              static_cast<std::uint64_t>(consumed) * inputs.size();
-          for (std::size_t j = 0; j < inputs.size(); ++j) {
-            auto& queue = queues[inputs[j]];
-            edge_gain[out[j]]->sample_n(rng, gain_draws.data(), consumed);
-            for (std::uint32_t k = 0; k < consumed; ++k) {
-              deliver(out[j], queue[k], gain_draws[k]);
-            }
-            queue.discard_front(consumed);
-          }
-          break;
-        }
-      }
-      node.items_produced += produced;
-    }
-#if RIPPLE_OBS
-    if (trace.active()) {
-      trace.end(obs::Domain::kSim, static_cast<std::uint32_t>(best),
-                fire_span_name(graph.node(best).kind), now);
-    }
-#endif
-  }
-  RIPPLE_REQUIRE(firings < config.max_firings,
-                 "firing budget exhausted (arrival rate beyond capacity?)");
-
-  metrics.events_processed = firings;
-  metrics.inputs_on_time = metrics.inputs_arrived - metrics.inputs_missed;
-  if (metrics.makespan <= 0.0 && !root_arrival.empty()) {
-    metrics.makespan = root_arrival.back();
-  }
-  return metrics;
+sim::TrialMetrics simulate_graph_greedy(const GraphSpec& graph,
+                                        arrivals::ArrivalProcess& arrival_process,
+                                        const sim::GreedySimConfig& config) {
+  return sim::simulate_greedy_throughput(graph_topology(graph),
+                                         arrival_process, config);
 }
 
 }  // namespace ripple::graph

@@ -1,13 +1,15 @@
-// Discrete-event simulation of enforced-waits schedules over GraphSpec DAGs
-// (the per-edge generalization of sim/enforced_sim.hpp), plus the greedy
-// throughput baseline extended to DAG routing.
+// Discrete-event simulation of GraphSpec DAGs: the enforced-waits simulator
+// and the greedy throughput baseline, run over graph_topology(graph).
 //
-// Each node fires on its fixed cadence x_u; a firing consumes up to v items
-// from its in-edge queues (elementwise nodes consume one matched item per
-// in-edge per lane), samples per-out-edge gains, and delivers the outputs to
-// the out-edge queues at firing end. A linear graph delegates to the chain
-// simulator on the lowered PipelineSpec, so linear-graph metrics are
-// bit-identical to simulate_enforced_waits.
+// These are thin wrappers. The event loop and the firing loop live in
+// sim/enforced_sim.cpp and sim/greedy_sim.cpp and serve chains and DAGs
+// alike; the graph supplies the per-edge queues, routing and gains through
+// its topology. Each node fires on its fixed cadence x_u; a firing consumes
+// up to v items from its in-edge queues (elementwise nodes consume one
+// matched item per in-edge per lane), samples per-out-edge gains, and
+// delivers the outputs to the out-edge queues at firing end. A linear graph
+// gives the same metrics, indexed by graph node, as the chain simulators on
+// its lowered PipelineSpec.
 //
 // On RIPPLE_OBS builds each consuming firing emits a kind-specific span
 // ("graph.fire" / "graph.tee" / "graph.merge" / "graph.sync") on the node's
@@ -16,55 +18,30 @@
 // roots reuse the "empty_firing" / "deadline_miss" instants.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "arrivals/arrival_process.hpp"
 #include "graph/graph_spec.hpp"
+#include "sim/enforced_sim.hpp"
+#include "sim/greedy_sim.hpp"
 #include "sim/metrics.hpp"
 #include "util/types.hpp"
 
 namespace ripple::graph {
 
-struct GraphSimConfig {
-  ItemCount input_count = 50000;
-  Cycles deadline = 0.0;  ///< D, for per-root miss accounting
-  /// Count firings on empty queues as active time (the paper's accounting).
-  bool charge_empty_firings = true;
-  std::uint64_t seed = 0;
-  std::uint64_t max_events = 500'000'000;  ///< runaway guard
-  /// Optional per-node first-firing times, indexed by graph node index.
-  std::vector<Cycles> initial_offsets;
-};
-
-/// DAG-aligned offsets: node u first fires at max over in-edges (u's
-/// predecessor offset + its service time + epsilon), so deliveries along
-/// every in-edge strictly precede the consuming firing. On a linear graph
-/// this equals sim::aligned_phase_offsets of the lowered pipeline.
-std::vector<Cycles> aligned_graph_phase_offsets(const GraphSpec& graph);
-
-/// Run one enforced-waits trial. `firing_intervals` are indexed by graph
-/// node index. Node metrics in the result are also indexed by graph node
-/// index. Throws std::logic_error on malformed inputs.
+/// Run one enforced-waits trial. `firing_intervals` and
+/// `config.initial_offsets` are indexed by graph node index, and so are the
+/// node metrics in the result. Throws std::logic_error on malformed inputs.
 sim::TrialMetrics simulate_graph_enforced(
     const GraphSpec& graph, const std::vector<Cycles>& firing_intervals,
-    arrivals::ArrivalProcess& arrival_process, const GraphSimConfig& config);
-
-struct GraphGreedyConfig {
-  ItemCount input_count = 20000;
-  Cycles deadline = 0.0;
-  std::uint64_t seed = 0;
-  /// Fire only when some node can consume at least this many items per
-  /// in-edge, unless the stream has ended (drain).
-  std::uint32_t min_batch = 1;
-  std::uint64_t max_firings = 500'000'000;
-};
+    arrivals::ArrivalProcess& arrival_process,
+    const sim::EnforcedSimConfig& config);
 
 /// Greedy throughput baseline on the DAG: the single processor repeatedly
 /// runs whichever node has the most queued input (ties to the deeper node in
 /// topological order), with exclusive service time t_u / N per firing.
 sim::TrialMetrics simulate_graph_greedy(const GraphSpec& graph,
                                         arrivals::ArrivalProcess& arrival_process,
-                                        const GraphGreedyConfig& config);
+                                        const sim::GreedySimConfig& config);
 
 }  // namespace ripple::graph

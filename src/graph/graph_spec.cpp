@@ -16,6 +16,35 @@ std::string edge_label(const GraphSpec& graph, const GraphEdgeSpec& edge) {
   return "edge " + graph.node(edge.from).name + "->" + graph.node(edge.to).name;
 }
 
+sim::NodeRole role_of(NodeKind kind) {
+  switch (kind) {
+    case NodeKind::kSiso:
+      return sim::NodeRole::kStage;
+    case NodeKind::kSimoTee:
+      return sim::NodeRole::kTee;
+    case NodeKind::kMisoElementwise:
+      return sim::NodeRole::kMerge;
+    case NodeKind::kMimoSynchronizer:
+      return sim::NodeRole::kSync;
+  }
+  return sim::NodeRole::kStage;
+}
+
+/// Kind-specific span names — string literals, as obs/trace.hpp requires.
+const char* fire_span_name(NodeKind kind) {
+  switch (kind) {
+    case NodeKind::kSiso:
+      return "graph.fire";
+    case NodeKind::kSimoTee:
+      return "graph.tee";
+    case NodeKind::kMisoElementwise:
+      return "graph.merge";
+    case NodeKind::kMimoSynchronizer:
+      return "graph.sync";
+  }
+  return "graph.fire";
+}
+
 }  // namespace
 
 const char* node_kind_name(NodeKind kind) noexcept {
@@ -87,6 +116,42 @@ util::Result<sdf::PipelineSpec> GraphSpec::lower_to_pipeline() const {
     current = out.to;
   }
   return builder.build();
+}
+
+sim::Topology graph_topology(const GraphSpec& graph) {
+  const std::size_t n = graph.size();
+  sim::Topology topology;
+  topology.reader.resize(graph.edge_count() + 1);
+  topology.gain.resize(graph.edge_count() + 1);
+  topology.arrival_queue = graph.edge_count();
+  topology.simd_width = graph.simd_width();
+  topology.start_order = graph.topo_order();
+  topology.nodes.resize(n);
+  for (NodeIndex u = 0; u < n; ++u) {
+    sim::TopologyNode& node = topology.nodes[u];
+    node.name = graph.node(u).name;
+    node.role = role_of(graph.node(u).kind);
+    node.service_time = graph.service_time(u);
+    node.span = fire_span_name(graph.node(u).kind);
+    node.depth_counter = "graph.queue_depth";
+    if (u == graph.source()) {
+      node.in_queues = {topology.arrival_queue};
+      node.depth_tracks = {static_cast<std::uint32_t>(u)};
+      topology.reader[topology.arrival_queue] = u;
+    }
+    for (const EdgeIndex e : graph.in_edges(u)) {
+      node.in_queues.push_back(e);
+      node.depth_tracks.push_back(static_cast<std::uint32_t>(n + e));
+      topology.reader[e] = u;
+    }
+    node.out_queues = graph.out_edges(u);
+  }
+  for (EdgeIndex e = 0; e < graph.edge_count(); ++e) {
+    topology.gain[e] = graph.edge(e).gain;
+    topology.extra_tracks.emplace_back(static_cast<std::uint32_t>(n + e),
+                                       edge_label(graph, graph.edge(e)));
+  }
+  return topology;
 }
 
 double GraphSpec::node_flow(NodeIndex i) const {

@@ -5,8 +5,10 @@
 // The paper's chain constraint g_{i-1} x_i <= x_{i-1} becomes a per-edge
 // constraint g_e x_v <= x_u for every edge e = (u, v); the linear pipeline is
 // the single-path special case, and a linear GraphSpec lowers losslessly to a
-// PipelineSpec (lower_to_pipeline) so the existing solver/sim/executor paths
-// stay bit-identical on chains.
+// PipelineSpec (lower_to_pipeline), which keeps the planner bit-identical to
+// the chain solver on chains. The simulators and executors need no lowering:
+// they run every graph over graph_topology(), the same sim::Topology a chain
+// is run over.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +17,7 @@
 
 #include "dist/gain.hpp"
 #include "sdf/pipeline.hpp"
+#include "sim/topology.hpp"
 #include "util/result.hpp"
 #include "util/types.hpp"
 
@@ -148,6 +151,15 @@ class GraphSpec {
   NodeIndex sink_ = 0;
   std::vector<double> node_flows_;  // precomputed expected per-input flow
 };
+
+/// The graph as the engines' topology (sim/topology.hpp): queue e is edge e
+/// and carries the edge's gain, and the source reads one extra arrival queue
+/// (queue edge_count()). Nodes keep their graph indices and start in
+/// topo_order(). Trace names are the graph.* family: a kind-specific span
+/// ("graph.fire" / "graph.tee" / "graph.merge" / "graph.sync") on the node's
+/// track, and "graph.queue_depth" per in-queue on the edge's own track (node
+/// count + edge index; the arrival queue reports on the source's track).
+sim::Topology graph_topology(const GraphSpec& graph);
 
 /// Fluent builder with validation at build().
 class GraphBuilder {

@@ -29,25 +29,6 @@ Item default_materialize(const std::uint32_t* fields) {
 
 }  // namespace
 
-Topology chain_topology(const sdf::PipelineSpec& pipeline) {
-  const std::size_t n = pipeline.size();
-  Topology topology;
-  topology.arrival_queue = 0;
-  topology.simd_width = pipeline.simd_width();
-  topology.nodes.resize(n);
-  for (NodeIndex i = 0; i < n; ++i) {
-    TopologyNode& node = topology.nodes[i];
-    node.name = pipeline.node(i).name;
-    node.service_time = pipeline.service_time(i);
-    node.in_queues = {i};
-    if (i + 1 < n) node.out_queues = {i + 1};
-    node.depth_tracks = {static_cast<std::uint32_t>(i)};
-    topology.reader.push_back(i);
-    topology.start_order.push_back(i);
-  }
-  return topology;
-}
-
 std::optional<util::Result<ExecutionMetrics>> validate_run_config(
     const Topology& topology, std::size_t input_count,
     const ExecutorConfig& config) {
@@ -421,6 +402,7 @@ util::Result<ExecutionMetrics> run_vector_loop(
                       "event budget exhausted (unstable schedule?)");
   }
 
+  metrics.base.events_processed = processed;
   metrics.base.inputs_on_time =
       metrics.base.inputs_arrived - metrics.base.inputs_missed;
   if (metrics.base.makespan <= 0.0 && metrics.base.inputs_arrived > 0) {
@@ -473,25 +455,22 @@ PipelineExecutor::PipelineExecutor(sdf::PipelineSpec spec,
                                    std::vector<BatchStage> stages)
     : pipeline_(std::move(spec)),
       stages_(std::move(stages)),
-      topology_(std::make_unique<const detail::Topology>(
-          detail::chain_topology(pipeline_))) {
-  detail::validate_stages(*topology_, stages_);
+      topology_(sim::chain_topology(pipeline_, "service")) {
+  detail::validate_stages(topology_, stages_);
 }
-
-PipelineExecutor::~PipelineExecutor() = default;
 
 util::Result<ExecutionMetrics> PipelineExecutor::run(
     std::vector<Item> inputs, const ExecutorConfig& config) const {
   RIPPLE_REQUIRE(stages_.front().carries_items,
                  "run() needs an item-carrying stage 0; use run_batch()");
-  return detail::run_vector_loop(*topology_, stages_, nullptr, &inputs, config);
+  return detail::run_vector_loop(topology_, stages_, nullptr, &inputs, config);
 }
 
 util::Result<ExecutionMetrics> PipelineExecutor::run_batch(
     const BatchInputs& inputs, const ExecutorConfig& config) const {
   RIPPLE_REQUIRE(!stages_.front().carries_items,
                  "run_batch() needs a typed stage 0; use run()");
-  return detail::run_vector_loop(*topology_, stages_, &inputs, nullptr, config);
+  return detail::run_vector_loop(topology_, stages_, &inputs, nullptr, config);
 }
 
 }  // namespace ripple::runtime

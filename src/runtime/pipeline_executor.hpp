@@ -19,9 +19,9 @@
 // lane over std::any items.
 //
 // PipelineExecutor is thin glue: it describes the chain as a topology (node
-// i reads queue i, writes queue i + 1) and runs the one vector-wide event
-// loop in runtime/executor_internal.hpp — the same loop GraphExecutor runs
-// on DAGs. ReferenceExecutor runs the per-item oracle over the same
+// i reads queue i, writes queue i + 1; sim/topology.hpp) and runs the one
+// vector-wide event loop in runtime/executor_internal.hpp — the same loop
+// GraphExecutor runs on DAGs. ReferenceExecutor runs the per-item oracle over the same
 // topology; tests/test_runtime_batch.cpp holds the two bit-identical.
 //
 // On RIPPLE_OBS builds with recording enabled, each consuming firing emits a
@@ -32,20 +32,16 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "runtime/lane_batch.hpp"
 #include "sdf/pipeline.hpp"
 #include "sim/metrics.hpp"
+#include "sim/topology.hpp"
 #include "util/result.hpp"
 #include "util/types.hpp"
 
 namespace ripple::runtime {
-
-namespace detail {
-struct Topology;
-}
 
 /// One per-item pipeline stage (classic interface): consume `input`, append
 /// zero or more outputs. For the final (sink) stage, appended outputs are
@@ -108,7 +104,6 @@ class PipelineExecutor {
   /// Throws std::logic_error on arity or representation mismatch.
   PipelineExecutor(sdf::PipelineSpec spec, std::vector<BatchStage> stages);
 
-  ~PipelineExecutor();
   PipelineExecutor(const PipelineExecutor&) = delete;
   PipelineExecutor& operator=(const PipelineExecutor&) = delete;
 
@@ -132,7 +127,7 @@ class PipelineExecutor {
  private:
   sdf::PipelineSpec pipeline_;
   std::vector<BatchStage> stages_;
-  std::unique_ptr<const detail::Topology> topology_;
+  sim::Topology topology_;
 };
 
 }  // namespace ripple::runtime

@@ -198,6 +198,7 @@ util::Result<ExecutionMetrics> run_item_oracle(
                       "event budget exhausted (unstable schedule?)");
   }
 
+  metrics.base.events_processed = processed;
   metrics.base.inputs_on_time =
       metrics.base.inputs_arrived - metrics.base.inputs_missed;
   if (metrics.base.makespan <= 0.0 && metrics.base.inputs_arrived > 0) {
@@ -234,8 +235,8 @@ util::Result<ExecutionMetrics> ReferenceExecutor::run(
       stage(std::move(lane_inputs[0]), outputs);
     });
   }
-  return detail::run_item_oracle(detail::chain_topology(pipeline_), stages,
-                                 inputs, config);
+  return detail::run_item_oracle(sim::chain_topology(pipeline_, "service"),
+                                 stages, inputs, config);
 }
 
 }  // namespace ripple::runtime

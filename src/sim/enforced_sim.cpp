@@ -1,6 +1,7 @@
 #include "sim/enforced_sim.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "dist/rng.hpp"
 #include "sim/event_sources.hpp"
@@ -29,67 +30,71 @@ enum EventPriority : int {
 }  // namespace
 
 std::vector<Cycles> aligned_phase_offsets(const sdf::PipelineSpec& pipeline) {
-  std::vector<Cycles> offsets(pipeline.size());
-  Cycles accumulated = 0.0;
-  for (NodeIndex i = 0; i < pipeline.size(); ++i) {
-    offsets[i] = accumulated;
-    // +epsilon so node i+1's firing strictly follows node i's delivery even
-    // under floating-point ties.
-    accumulated += pipeline.service_time(i) + 1e-6;
-  }
-  return offsets;
+  return aligned_phase_offsets(chain_topology(pipeline, "fire"));
 }
 
 // The event structure is fixed and tiny — N periodic fire-start streams, one
 // arrival stream, and at most one in-flight fire-end per node — so instead of
 // a general heap the loop runs an IndexedScheduler over 2N+1 sources:
 //   source 0         = the arrival stream           (priority kPriorityArrival)
-//   source 1 + i     = node i's fire-start cadence  (priority kPriorityFireStart)
-//   source 1 + N + i = node i's in-flight fire-end  (priority kPriorityFireEnd)
+//   source 1 + u     = node u's fire-start cadence  (priority kPriorityFireStart)
+//   source 1 + N + u = node u's in-flight fire-end  (priority kPriorityFireEnd)
 // Every schedule() consumes one global sequence number exactly like the
 // reference EventQueue::push calls did (same call sites, same order), so the
 // event order — including all same-timestamp tie-breaks — is bit-for-bit
 // identical to the heap-based implementation (pinned by
-// tests/test_sim_golden.cpp).
-void simulate_enforced_waits_into(const sdf::PipelineSpec& pipeline,
+// tests/test_sim_golden.cpp and tests/test_graph_sim_golden.cpp).
+void simulate_enforced_waits_into(const Topology& topology,
                                   const std::vector<Cycles>& firing_intervals,
                                   arrivals::ArrivalProcess& arrival_process,
                                   const EnforcedSimConfig& config,
                                   TrialMetrics& metrics) {
-  const std::size_t n = pipeline.size();
+  const std::size_t n = topology.nodes.size();
   RIPPLE_REQUIRE(firing_intervals.size() == n, "one firing interval per node");
-  for (NodeIndex i = 0; i < n; ++i) {
-    RIPPLE_REQUIRE(firing_intervals[i] >= pipeline.service_time(i) - 1e-9,
-                   "firing interval below service time at node " +
-                       std::to_string(i));
+  for (NodeIndex u = 0; u < n; ++u) {
+    RIPPLE_REQUIRE(firing_intervals[u] >= topology.nodes[u].service_time - 1e-9,
+                   "firing interval below service time at node '" +
+                       topology.nodes[u].name + "'");
   }
   RIPPLE_REQUIRE(config.input_count > 0, "need at least one input");
+  RIPPLE_REQUIRE(config.initial_offsets.empty() ||
+                     config.initial_offsets.size() == n,
+                 "one phase offset per node (or none)");
 
   dist::Xoshiro256 rng(config.seed);
-  const std::uint32_t v = pipeline.simd_width();
+  const std::uint32_t v = topology.simd_width;
 
   metrics.reset(n);
   metrics.vector_width = v;
   metrics.sharing_actors = n;  // each node is active or waiting all run long
   metrics.arm_latency_histogram(config.deadline);
 
-  // Hot-loop caches: service times and raw gain pointers in flat arrays so
-  // the dispatch loop never walks the pipeline spec.
+  // Hot-loop caches: service times and raw gain pointers in flat arrays.
   std::vector<Cycles> service_time(n);
-  std::vector<const dist::GainDistribution*> gain(n, nullptr);
-  for (NodeIndex i = 0; i < n; ++i) {
-    service_time[i] = pipeline.service_time(i);
-    if (i + 1 < n) gain[i] = pipeline.node(i).gain.get();
+  for (NodeIndex u = 0; u < n; ++u) {
+    service_time[u] = topology.nodes[u].service_time;
   }
+  std::vector<const dist::GainDistribution*> gain(topology.gain.size());
+  for (std::size_t q = 0; q < gain.size(); ++q) gain[q] = topology.gain[q].get();
 
-  std::vector<util::RingBuffer<RootId>> queues(n);
+  std::vector<util::RingBuffer<RootId>> queues(topology.reader.size());
   for (auto& queue : queues) queue.reserve(4 * v);
-  // Outputs of the in-progress firing of node i, delivered at its FireEnd.
-  // Reused across firings; reserved to the per-firing worst case up front.
-  std::vector<std::vector<RootId>> in_flight(n);
-  for (NodeIndex i = 0; i < n; ++i) {
-    in_flight[i].reserve(static_cast<std::size_t>(v) *
-                         (gain[i] != nullptr ? gain[i]->max_outputs() : 1u));
+  // Outputs of the in-progress firing of node u, one bundle per out-queue in
+  // slots u * stride + s (a sink keeps its consumed roots in slot 0 until
+  // they exit at firing end). Reused across firings; reserved to the
+  // per-firing worst case up front.
+  std::size_t stride = 1;
+  for (const TopologyNode& node : topology.nodes) {
+    stride = std::max(stride, node.out_queues.size());
+  }
+  std::vector<std::vector<RootId>> in_flight(n * stride);
+  for (NodeIndex u = 0; u < n; ++u) {
+    const std::vector<std::size_t>& outs = topology.nodes[u].out_queues;
+    if (outs.empty()) in_flight[u * stride].reserve(v);
+    for (std::size_t s = 0; s < outs.size(); ++s) {
+      in_flight[u * stride + s].reserve(static_cast<std::size_t>(v) *
+                                        gain[outs[s]]->max_outputs());
+    }
   }
   // Per-firing gain draws: one batched virtual call instead of one per item.
   std::vector<dist::OutputCount> gain_draws(v);
@@ -113,28 +118,29 @@ void simulate_enforced_waits_into(const sdf::PipelineSpec& pipeline,
 
   // First arrival after one inter-arrival gap; every node starts its cadence
   // with a firing at its phase offset (t = 0 by default).
-  RIPPLE_REQUIRE(config.initial_offsets.empty() ||
-                     config.initial_offsets.size() == n,
-                 "one phase offset per node (or none)");
   events.schedule(kArrivalSource, arrival_process.next_interarrival(rng),
                   kPriorityArrival);
-  for (NodeIndex i = 0; i < n; ++i) {
+  for (const NodeIndex u : topology.start_order) {
     const Cycles offset =
-        config.initial_offsets.empty() ? 0.0 : config.initial_offsets[i];
+        config.initial_offsets.empty() ? 0.0 : config.initial_offsets[u];
     RIPPLE_REQUIRE(offset >= 0.0, "phase offsets must be non-negative");
-    events.schedule(kFireStartBase + i, offset, kPriorityFireStart);
+    events.schedule(kFireStartBase + u, offset, kPriorityFireStart);
   }
 
 #if RIPPLE_OBS
   // One branch on a cached pointer per record when tracing is on; a single
   // inactive-writer check when it is off. Tracks are node indices on the sim
-  // timeline; labels come from the pipeline spec.
+  // timeline, plus the topology's extra (per-edge) tracks.
   obs::TraceWriter trace = obs::TraceWriter::for_current_thread();
   if (trace.active()) {
-    for (NodeIndex i = 0; i < n; ++i) {
+    for (NodeIndex u = 0; u < n; ++u) {
       obs::TraceSession::global().set_track_name(
-          obs::Domain::kSim, static_cast<std::uint32_t>(i),
-          pipeline.node(i).name);
+          obs::Domain::kSim, static_cast<std::uint32_t>(u),
+          topology.nodes[u].name);
+    }
+    for (const auto& [track, name] : topology.extra_tracks) {
+      obs::TraceSession::global().set_track_name(obs::Domain::kSim, track,
+                                                 name);
     }
   }
 #endif
@@ -147,65 +153,79 @@ void simulate_enforced_waits_into(const sdf::PipelineSpec& pipeline,
 
     if (event.source >= kFireEndBase) {
       // ------------------------------------------------------------ FireEnd
-      const NodeIndex i = static_cast<NodeIndex>(event.source - kFireEndBase);
-      auto& bundle = in_flight[i];
-      const bool is_sink = (i + 1 == n);
-      if (is_sink) {
-        for (const RootId root : bundle) {
+      const NodeIndex u = static_cast<NodeIndex>(event.source - kFireEndBase);
+      const TopologyNode& topo = topology.nodes[u];
+      std::vector<RootId>* bundles = &in_flight[u * stride];
+      if (topo.out_queues.empty()) {
+        // Sink exit: slot 0 holds the consumed roots.
+        for (const RootId root : bundles[0]) {
           ++metrics.sink_outputs;
           const Cycles latency = now - root_arrival[root];
           metrics.record_latency(latency);
-          if (config.deadline > 0.0 && latency > config.deadline * (1.0 + 1e-12)) {
-            if (!root_missed[root]) {
-              root_missed[root] = true;
-              ++metrics.inputs_missed;
+          if (config.deadline > 0.0 &&
+              latency > config.deadline * (1.0 + 1e-12) && !root_missed[root]) {
+            root_missed[root] = true;
+            ++metrics.inputs_missed;
 #if RIPPLE_OBS
-              if (trace.active()) {
-                // Negative slack = how late the item exited.
-                trace.instant(obs::Domain::kSim, static_cast<std::uint32_t>(i),
-                              "deadline_miss", now, config.deadline - latency);
-              }
-#endif
+            if (trace.active()) {
+              // Negative slack = how late the item exited.
+              trace.instant(obs::Domain::kSim, static_cast<std::uint32_t>(u),
+                            "deadline_miss", now, config.deadline - latency);
             }
+#endif
           }
           metrics.makespan = std::max(metrics.makespan, now);
         }
-        live_items -= bundle.size();
+        live_items -= bundles[0].size();
+        bundles[0].clear();
       } else {
-        auto& next_queue = queues[i + 1];
-        for (const RootId root : bundle) next_queue.push_back(root);
+        for (std::size_t s = 0; s < topo.out_queues.size(); ++s) {
+          auto& queue = queues[topo.out_queues[s]];
+          for (const RootId root : bundles[s]) queue.push_back(root);
+          bundles[s].clear();
+        }
       }
-      bundle.clear();
 #if RIPPLE_OBS
       if (trace.active()) {
-        trace.end(obs::Domain::kSim, static_cast<std::uint32_t>(i), "fire",
+        trace.end(obs::Domain::kSim, static_cast<std::uint32_t>(u), topo.span,
                   now);
       }
 #endif
     } else if (event.source >= kFireStartBase) {
       // ---------------------------------------------------------- FireStart
-      const NodeIndex i = static_cast<NodeIndex>(event.source - kFireStartBase);
-      NodeMetrics& node = metrics.nodes[i];
-      auto& queue = queues[i];
-      // Queue lengths only shrink at this node's own fire-starts, so the
-      // running maximum observed here (pre-consume) equals the maximum the
-      // reference implementation tracked push-by-push at arrivals/deliveries.
+      const NodeIndex u = static_cast<NodeIndex>(event.source - kFireStartBase);
+      const TopologyNode& topo = topology.nodes[u];
+      NodeMetrics& node = metrics.nodes[u];
+      const std::vector<std::size_t>& ins = topo.in_queues;
+      // Queue lengths only shrink at their reader's fire-starts, so the
+      // running maximum observed here (pre-consume) is the peak depth.
+      // Single-input nodes take what is queued; merges and synchronizers
+      // take only lanes matched on every in-queue.
+      std::size_t deepest = 0;
+      std::size_t matched = queues[ins[0]].size();
+      for (const std::size_t q : ins) {
+        deepest = std::max(deepest, queues[q].size());
+        matched = std::min(matched, queues[q].size());
+      }
       node.max_queue_length =
-          std::max<std::uint64_t>(node.max_queue_length, queue.size());
+          std::max<std::uint64_t>(node.max_queue_length, deepest);
       const std::uint32_t consumed =
-          static_cast<std::uint32_t>(std::min<std::uint64_t>(queue.size(), v));
+          static_cast<std::uint32_t>(std::min<std::size_t>(matched, v));
 #if RIPPLE_OBS
       if (trace.active()) {
-        trace.counter(obs::Domain::kSim, static_cast<std::uint32_t>(i),
-                      "queue_depth", now, static_cast<double>(queue.size()));
+        for (std::size_t j = 0; j < ins.size(); ++j) {
+          trace.counter(obs::Domain::kSim, topo.depth_tracks[j],
+                        topo.depth_counter, now,
+                        static_cast<double>(queues[ins[j]].size()));
+        }
         if (consumed > 0) {
           // A FireEnd is guaranteed for every consuming firing, so the span
           // always closes; empty charged firings are instants instead.
-          trace.begin(obs::Domain::kSim, static_cast<std::uint32_t>(i), "fire",
-                      now);
+          trace.begin(obs::Domain::kSim, static_cast<std::uint32_t>(u),
+                      topo.span, now);
         } else if (config.charge_empty_firings) {
-          trace.instant(obs::Domain::kSim, static_cast<std::uint32_t>(i),
-                        "empty_firing", now, service_time[i]);
+          trace.instant(obs::Domain::kSim, static_cast<std::uint32_t>(u),
+                        "empty_firing", now, service_time[u]);
         }
       }
 #endif
@@ -213,45 +233,59 @@ void simulate_enforced_waits_into(const sdf::PipelineSpec& pipeline,
       if (consumed > 0 || config.charge_empty_firings) {
         ++node.firings;
         if (consumed == 0) ++node.empty_firings;
-        node.active_time += service_time[i];
+        node.active_time += service_time[u];
       }
 
       if (consumed > 0) {
-        node.items_consumed += consumed;
-        auto& bundle = in_flight[i];
-        const bool is_sink = (i + 1 == n);
-        if (is_sink) {
+        const std::vector<std::size_t>& outs = topo.out_queues;
+        std::vector<RootId>* bundles = &in_flight[u * stride];
+        const std::uint64_t consumed_total =
+            static_cast<std::uint64_t>(consumed) * ins.size();
+        node.items_consumed += consumed_total;
+        if (outs.empty()) {
+          // Sink: consumed roots exit at firing end.
+          const auto& queue = queues[ins[0]];
           for (std::uint32_t k = 0; k < consumed; ++k) {
-            bundle.push_back(queue[k]);  // exits at fire end
+            bundles[0].push_back(queue[k]);
           }
         } else {
-          // Gain draws consume the RNG stream in the same per-item order as
-          // the reference implementation; batching only hoists the virtual
-          // dispatch out of the loop.
-          gain[i]->sample_n(rng, gain_draws.data(), consumed);
+          // Lanes take the root of their in-queue: the first one for stages,
+          // tees and merges (a merge re-joins copies of the same root),
+          // stream j's for a synchronizer's out-queue j. A tee samples and
+          // fills every out-queue, a synchronizer one per stream; gains are
+          // drawn per out-queue in out-queue order, one batched call each.
+          const bool per_queue =
+              topo.role == NodeRole::kTee || topo.role == NodeRole::kSync;
+          const std::size_t slots = per_queue ? outs.size() : 1;
           std::uint64_t produced = 0;
-          for (std::uint32_t k = 0; k < consumed; ++k) {
-            const RootId root = queue[k];
-            const dist::OutputCount outputs = gain_draws[k];
-            produced += outputs;
-            for (dist::OutputCount o = 0; o < outputs; ++o) {
-              bundle.push_back(root);
+          for (std::size_t s = 0; s < slots; ++s) {
+            const auto& queue =
+                queues[ins[topo.role == NodeRole::kSync ? s : 0]];
+            gain[outs[s]]->sample_n(rng, gain_draws.data(), consumed);
+            auto& bundle = bundles[s];
+            for (std::uint32_t k = 0; k < consumed; ++k) {
+              const RootId root = queue[k];
+              const dist::OutputCount outputs = gain_draws[k];
+              produced += outputs;
+              for (dist::OutputCount o = 0; o < outputs; ++o) {
+                bundle.push_back(root);
+              }
             }
           }
           node.items_produced += produced;
           // Consumed items are replaced by their outputs.
           live_items += produced;
-          live_items -= consumed;
+          live_items -= consumed_total;
         }
-        queue.discard_front(consumed);
-        events.schedule(kFireEndBase + i, now + service_time[i],
+        for (const std::size_t q : ins) queues[q].discard_front(consumed);
+        events.schedule(kFireEndBase + u, now + service_time[u],
                         kPriorityFireEnd);
       }
 
       // Next firing on the fixed cadence — but once the stream has drained,
       // let idle nodes stop so the event loop terminates.
       if (!(arrivals_done && live_items == 0)) {
-        events.schedule(kFireStartBase + i, now + firing_intervals[i],
+        events.schedule(kFireStartBase + u, now + firing_intervals[u],
                         kPriorityFireStart);
       }
     } else {
@@ -267,11 +301,11 @@ void simulate_enforced_waits_into(const sdf::PipelineSpec& pipeline,
       // kPriorityArrival-priority source.
       const IndexedScheduler::Horizon horizon = events.horizon();
       Cycles arrival_time = now;
-      auto& queue0 = queues[0];
+      auto& arrivals = queues[topology.arrival_queue];
       while (true) {
         const RootId root = static_cast<RootId>(root_arrival.size());
         root_arrival.push_back(arrival_time);
-        queue0.push_back(root);
+        arrivals.push_back(root);
         ++live_items;
         if (root_arrival.size() >= config.input_count) {
           arrivals_done = true;
@@ -300,6 +334,15 @@ void simulate_enforced_waits_into(const sdf::PipelineSpec& pipeline,
   if (metrics.makespan <= 0.0 && !root_arrival.empty()) {
     metrics.makespan = root_arrival.back();
   }
+}
+
+void simulate_enforced_waits_into(const sdf::PipelineSpec& pipeline,
+                                  const std::vector<Cycles>& firing_intervals,
+                                  arrivals::ArrivalProcess& arrival_process,
+                                  const EnforcedSimConfig& config,
+                                  TrialMetrics& out) {
+  simulate_enforced_waits_into(chain_topology(pipeline, "fire"),
+                               firing_intervals, arrival_process, config, out);
 }
 
 TrialMetrics simulate_enforced_waits(const sdf::PipelineSpec& pipeline,

@@ -13,18 +13,38 @@
 namespace ripple::sim {
 
 namespace {
+
 using RootId = std::uint32_t;
+
+/// Append each of the first `lanes` roots in `from` to `to`, gains[k] times
+/// for lane k, and return the number appended. kPop takes the lanes off
+/// `from` as it goes; otherwise they stay for the caller to drop (a tee reads
+/// them once per out-queue). The two are separate loops on purpose: one loop
+/// that branches per lane runs about 10% slower on the chain benchmark.
+template <bool kPop>
+std::uint64_t replicate(util::RingBuffer<RootId>& from,
+                        util::RingBuffer<RootId>& to,
+                        const dist::OutputCount* gains, std::uint32_t lanes) {
+  std::uint64_t produced = 0;
+  for (std::uint32_t k = 0; k < lanes; ++k) {
+    const RootId root = kPop ? from.pop_front() : from[k];
+    produced += gains[k];
+    for (dist::OutputCount o = 0; o < gains[k]; ++o) to.push_back(root);
+  }
+  return produced;
 }
 
-TrialMetrics simulate_greedy_throughput(const sdf::PipelineSpec& pipeline,
+}  // namespace
+
+TrialMetrics simulate_greedy_throughput(const Topology& topology,
                                         arrivals::ArrivalProcess& arrival_process,
                                         const GreedySimConfig& config) {
-  const std::size_t n = pipeline.size();
+  const std::size_t n = topology.nodes.size();
   RIPPLE_REQUIRE(config.input_count > 0, "need at least one input");
   RIPPLE_REQUIRE(config.min_batch >= 1, "min_batch must be at least 1");
 
   dist::Xoshiro256 rng(config.seed);
-  const std::uint32_t v = pipeline.simd_width();
+  const std::uint32_t v = topology.simd_width;
   const double exclusive_scale = 1.0 / static_cast<double>(n);
 
   TrialMetrics metrics;
@@ -35,13 +55,28 @@ TrialMetrics simulate_greedy_throughput(const sdf::PipelineSpec& pipeline,
 
   // Flat caches for the firing loop (see enforced_sim.cpp).
   std::vector<Cycles> service_time(n);
-  std::vector<const dist::GainDistribution*> gain(n, nullptr);
-  for (NodeIndex i = 0; i < n; ++i) {
-    service_time[i] = pipeline.service_time(i);
-    if (i + 1 < n) gain[i] = pipeline.node(i).gain.get();
+  for (NodeIndex u = 0; u < n; ++u) {
+    service_time[u] = topology.nodes[u].service_time;
+  }
+  std::vector<const dist::GainDistribution*> gain(topology.gain.size());
+  for (std::size_t q = 0; q < gain.size(); ++q) gain[q] = topology.gain[q].get();
+  // The selection scan runs once per loop turn, so it walks a flat list in
+  // start (topological) order holding each node's first in-queue, and
+  // reads the in-queue list only of nodes with several (merges,
+  // synchronizers).
+  struct Candidate {
+    NodeIndex node;
+    std::size_t first_in;
+    bool multi_in;
+  };
+  std::vector<Candidate> candidates;
+  candidates.reserve(n);
+  for (const NodeIndex u : topology.start_order) {
+    const std::vector<std::size_t>& ins = topology.nodes[u].in_queues;
+    candidates.push_back({u, ins[0], ins.size() > 1});
   }
 
-  std::vector<util::RingBuffer<RootId>> queues(n);
+  std::vector<util::RingBuffer<RootId>> queues(topology.reader.size());
   for (auto& queue : queues) queue.reserve(4 * v);
   std::vector<dist::OutputCount> gain_draws(v);
 
@@ -53,14 +88,16 @@ TrialMetrics simulate_greedy_throughput(const sdf::PipelineSpec& pipeline,
   Cycles next_arrival = arrival_process.next_interarrival(rng);
   ItemCount generated = 0;
 
+  auto& arrivals = queues[topology.arrival_queue];
+  NodeMetrics& source = metrics.nodes[topology.reader[topology.arrival_queue]];
   auto drain_arrivals_until = [&](Cycles time) {
     while (generated < config.input_count && next_arrival <= time + 1e-12) {
       const RootId root = static_cast<RootId>(root_arrival.size());
       root_arrival.push_back(next_arrival);
       ++metrics.inputs_arrived;
-      queues[0].push_back(root);
-      metrics.nodes[0].max_queue_length = std::max<std::uint64_t>(
-          metrics.nodes[0].max_queue_length, queues[0].size());
+      arrivals.push_back(root);
+      source.max_queue_length =
+          std::max<std::uint64_t>(source.max_queue_length, arrivals.size());
       ++generated;
       if (generated < config.input_count) {
         next_arrival += arrival_process.next_interarrival(rng);
@@ -71,10 +108,10 @@ TrialMetrics simulate_greedy_throughput(const sdf::PipelineSpec& pipeline,
 #if RIPPLE_OBS
   obs::TraceWriter trace = obs::TraceWriter::for_current_thread();
   if (trace.active()) {
-    for (NodeIndex i = 0; i < n; ++i) {
+    for (NodeIndex u = 0; u < n; ++u) {
       obs::TraceSession::global().set_track_name(
-          obs::Domain::kSim, static_cast<std::uint32_t>(i),
-          pipeline.node(i).name);
+          obs::Domain::kSim, static_cast<std::uint32_t>(u),
+          topology.nodes[u].name);
     }
   }
 #endif
@@ -84,56 +121,66 @@ TrialMetrics simulate_greedy_throughput(const sdf::PipelineSpec& pipeline,
     drain_arrivals_until(now);
     const bool arrivals_done = generated >= config.input_count;
 
-    // Pick the fullest queue; ties go to the deeper stage (drives items
-    // toward the sink). Respect min_batch until the stream has ended.
+    // Pick the node with the most queued input among those that can
+    // consume; ties go to the deeper node, the later one in the start
+    // (topological) order, which drives items toward the sink. min_batch
+    // gates the matched batch until the stream has ended.
     std::size_t best = n;  // sentinel: nothing eligible
-    std::size_t best_size = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t size = queues[i].size();
-      if (size == 0) continue;
-      if (!arrivals_done && size < config.min_batch) continue;
-      if (size >= best_size) {  // >= : deeper stage wins ties
-        best_size = size;
-        best = i;
+    std::size_t best_queued = 0;
+    std::size_t matched = 0;
+    for (const Candidate& c : candidates) {
+      std::size_t lanes = queues[c.first_in].size();
+      std::size_t total = lanes;
+      if (c.multi_in) {
+        total = 0;
+        for (const std::size_t q : topology.nodes[c.node].in_queues) {
+          total += queues[q].size();
+          lanes = std::min(lanes, queues[q].size());
+        }
+      }
+      if (lanes == 0) continue;
+      if (!arrivals_done && lanes < config.min_batch) continue;
+      if (total >= best_queued) {  // >= : the deeper node wins ties
+        best = c.node;
+        best_queued = total;
+        matched = lanes;
       }
     }
 
     if (best == n) {
-      // Nothing eligible now: idle to the next arrival, or finish.
-      bool any_queued = false;
-      for (const auto& queue : queues) any_queued |= !queue.empty();
-      if (arrivals_done && !any_queued) break;
-      if (arrivals_done && any_queued) {
-        // Only possible when min_batch gating blocked everything mid-stream;
-        // post-stream we ignore the gate, so this cannot occur. Defensive:
-        break;
-      }
+      // Nothing can consume now: idle to the next arrival, or finish. Once
+      // the stream has ended min_batch no longer gates, so this is the
+      // drain's end (a merge may strand unmatched partial tuples; they are
+      // dropped).
+      if (arrivals_done) break;
       now = std::max(now, next_arrival);
       continue;
     }
 
     // Fire node `best` exclusively.
     ++firings;
+    const TopologyNode& topo = topology.nodes[best];
     NodeMetrics& node = metrics.nodes[best];
-    auto& queue = queues[best];
+    const std::vector<std::size_t>& ins = topo.in_queues;
+    const std::vector<std::size_t>& outs = topo.out_queues;
     const std::uint32_t consumed =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(queue.size(), v));
+        static_cast<std::uint32_t>(std::min<std::size_t>(matched, v));
     ++node.firings;
-    node.items_consumed += consumed;
+    node.items_consumed += static_cast<std::uint64_t>(consumed) * ins.size();
     const Cycles duration = service_time[best] * exclusive_scale;
     node.active_time += duration;
 #if RIPPLE_OBS
     if (trace.active()) {
       trace.counter(obs::Domain::kSim, static_cast<std::uint32_t>(best),
-                    "queue_depth", now, static_cast<double>(queue.size()));
-      trace.begin(obs::Domain::kSim, static_cast<std::uint32_t>(best), "fire",
-                  now);
+                    topo.depth_counter, now, static_cast<double>(matched));
+      trace.begin(obs::Domain::kSim, static_cast<std::uint32_t>(best),
+                  topo.span, now);
     }
 #endif
     now += duration;
 
-    const bool is_sink = (best + 1 == n);
-    if (is_sink) {
+    if (outs.empty()) {
+      auto& queue = queues[ins[0]];
       for (std::uint32_t k = 0; k < consumed; ++k) {
         const RootId root = queue.pop_front();
         ++metrics.sink_outputs;
@@ -154,26 +201,38 @@ TrialMetrics simulate_greedy_throughput(const sdf::PipelineSpec& pipeline,
         metrics.makespan = std::max(metrics.makespan, now);
       }
     } else {
-      // One batched virtual call per firing; RNG draw order matches the
-      // per-item reference exactly.
-      gain[best]->sample_n(rng, gain_draws.data(), consumed);
-      auto& next_queue = queues[best + 1];
+      // Routing as in the enforced loop: lanes carry their in-queue's root
+      // (stream s's for a synchronizer's out-queue s, else the first
+      // in-queue's), one batched gain call per filled out-queue, in
+      // out-queue order. A tee fills every out-queue from the same lanes.
+      const bool tee = topo.role == NodeRole::kTee;
+      const bool sync = topo.role == NodeRole::kSync;
+      const std::size_t slots = tee || sync ? outs.size() : 1;
       std::uint64_t produced = 0;
-      for (std::uint32_t k = 0; k < consumed; ++k) {
-        const RootId root = queue.pop_front();
-        const dist::OutputCount outputs = gain_draws[k];
-        produced += outputs;
-        for (dist::OutputCount o = 0; o < outputs; ++o) {
-          next_queue.push_back(root);
+      for (std::size_t s = 0; s < slots; ++s) {
+        auto& from = queues[ins[sync ? s : 0]];
+        auto& to = queues[outs[s]];
+        gain[outs[s]]->sample_n(rng, gain_draws.data(), consumed);
+        produced += tee ? replicate<false>(from, to, gain_draws.data(), consumed)
+                        : replicate<true>(from, to, gain_draws.data(), consumed);
+        NodeMetrics& target = metrics.nodes[topology.reader[outs[s]]];
+        target.max_queue_length =
+            std::max<std::uint64_t>(target.max_queue_length, to.size());
+      }
+      // Drop what the loop above read but did not pop: a tee's lanes, and
+      // a merge's matched lanes on its other in-queues.
+      if (tee) {
+        queues[ins[0]].discard_front(consumed);
+      } else if (!sync) {
+        for (std::size_t j = 1; j < ins.size(); ++j) {
+          queues[ins[j]].discard_front(consumed);
         }
       }
       node.items_produced += produced;
-      metrics.nodes[best + 1].max_queue_length = std::max<std::uint64_t>(
-          metrics.nodes[best + 1].max_queue_length, next_queue.size());
     }
 #if RIPPLE_OBS
     if (trace.active()) {
-      trace.end(obs::Domain::kSim, static_cast<std::uint32_t>(best), "fire",
+      trace.end(obs::Domain::kSim, static_cast<std::uint32_t>(best), topo.span,
                 now);
     }
 #endif
@@ -187,6 +246,13 @@ TrialMetrics simulate_greedy_throughput(const sdf::PipelineSpec& pipeline,
     metrics.makespan = root_arrival.back();
   }
   return metrics;
+}
+
+TrialMetrics simulate_greedy_throughput(const sdf::PipelineSpec& pipeline,
+                                        arrivals::ArrivalProcess& arrival_process,
+                                        const GreedySimConfig& config) {
+  return simulate_greedy_throughput(chain_topology(pipeline, "fire"),
+                                    arrival_process, config);
 }
 
 }  // namespace ripple::sim

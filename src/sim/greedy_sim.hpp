@@ -14,8 +14,16 @@
 // sit in queues for as long as the greedy policy keeps harvesting fuller
 // vectors elsewhere, and nothing bounds the time to drain a burst.
 //
-// On RIPPLE_OBS builds with recording enabled, each firing emits a "fire"
-// trace span and a "queue_depth" counter sample on the chosen node's track,
+// One firing loop serves every pipeline shape: it runs over a sim::Topology
+// (sim/topology.hpp). On a DAG the most queued input counts every in-queue,
+// merges and synchronizers consume only matched lanes, and ties go to the
+// node later in the topology's start order (deeper toward the sink).
+// simulate_greedy_throughput(PipelineSpec) runs it on the chain topology;
+// graph::simulate_graph_greedy runs it on a DAG's.
+//
+// On RIPPLE_OBS builds with recording enabled, each firing emits a span
+// (the node's span name: "fire" on a chain, "graph.*" on a DAG) and a
+// depth counter sample of its matched input on the chosen node's track,
 // plus a "deadline_miss" instant per late sink output; firings are globally
 // exclusive, so spans never overlap (docs/OBSERVABILITY.md).
 #pragma once
@@ -25,6 +33,7 @@
 #include "arrivals/arrival_process.hpp"
 #include "sdf/pipeline.hpp"
 #include "sim/metrics.hpp"
+#include "sim/topology.hpp"
 #include "util/types.hpp"
 
 namespace ripple::sim {
@@ -34,15 +43,21 @@ struct GreedySimConfig {
   Cycles deadline = 0.0;  ///< only for miss accounting; never scheduled for
   std::uint64_t seed = 0;
 
-  /// Policy knob: fire only when some queue holds at least this many items,
-  /// unless the stream has ended (drain). 1 = fully eager; v = full vectors
-  /// only. Higher thresholds raise occupancy and latency together.
+  /// Policy knob: fire only when some node can consume at least this many
+  /// items per in-queue, unless the stream has ended (drain). 1 = fully
+  /// eager; v = full vectors only. Higher thresholds raise occupancy and
+  /// latency together.
   std::uint32_t min_batch = 1;
 
   std::uint64_t max_firings = 500'000'000;  ///< runaway guard
 };
 
-/// Run one trial of the greedy throughput schedule.
+/// Run one trial of the greedy throughput schedule over any topology.
+TrialMetrics simulate_greedy_throughput(const Topology& topology,
+                                        arrivals::ArrivalProcess& arrival_process,
+                                        const GreedySimConfig& config);
+
+/// Chain entry point: the loop above on chain_topology(pipeline).
 TrialMetrics simulate_greedy_throughput(const sdf::PipelineSpec& pipeline,
                                         arrivals::ArrivalProcess& arrival_process,
                                         const GreedySimConfig& config);

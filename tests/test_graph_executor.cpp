@@ -208,6 +208,33 @@ TEST(LinearGraph, OutOfPathOrderIndicesMatchChainAndOracle) {
   expect_same_execution(by_graph_index, run.value());
 }
 
+/// With empty firings charged, every event an engine pops is a fire-start
+/// (one per firing) or the fire-end of a consuming firing.
+std::uint64_t fire_events(const sim::TrialMetrics& base) {
+  std::uint64_t events = 0;
+  for (const sim::NodeMetrics& node : base.nodes) {
+    events += 2 * node.firings - node.empty_firings;
+  }
+  return events;
+}
+
+TEST(EventCount, BothEnginesCountEveryPoppedFireEvent) {
+  for (GraphScenario scenario :
+       {branching_blast_scenario(), telemetry_fanin_scenario()}) {
+    const GraphExecutorConfig config =
+        scenario_config(scenario.graph, 1.25, 20.0);
+    const GraphExecutor executor(scenario.graph, scenario.stages);
+    auto run = executor.run(scenario_inputs(300), config);
+    ASSERT_TRUE(run.ok()) << run.error().message;
+    auto reference = executor.run_reference(scenario_inputs(300), config);
+    ASSERT_TRUE(reference.ok()) << reference.error().message;
+    const sim::TrialMetrics& base = run.value().base;
+    EXPECT_GT(base.events_processed, 0u);
+    EXPECT_EQ(base.events_processed, fire_events(base));
+    EXPECT_EQ(reference.value().base.events_processed, base.events_processed);
+  }
+}
+
 TEST(Determinism, RandomizedTrialsMatchReference) {
   // 12 randomized trials over both branching scenarios: vary the input seed,
   // arrival spacing, and interval slack, and require the vector DAG engine

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "arrivals/arrival_process.hpp"
 #include "blast/canonical.hpp"
@@ -41,6 +43,8 @@ void expect_same_metrics(const sim::TrialMetrics& expected,
   EXPECT_EQ(got.output_latency.mean(), expected.output_latency.mean());
   EXPECT_EQ(got.output_latency.min(), expected.output_latency.min());
   EXPECT_EQ(got.output_latency.max(), expected.output_latency.max());
+  EXPECT_EQ(got.makespan, expected.makespan);
+  EXPECT_EQ(got.events_processed, expected.events_processed);
 }
 
 GraphSpec blast_chain_graph() {
@@ -81,7 +85,7 @@ GraphSpec flat_diamond() {
   return std::move(built).take();
 }
 
-TEST(LinearDelegation, EnforcedTrialBitEqualToChainSim) {
+TEST(LinearGraphSim, EnforcedTrialBitEqualToChainSim) {
   const GraphSpec graph = blast_chain_graph();
   auto lowered = graph.lower_to_pipeline();
   ASSERT_TRUE(lowered.ok());
@@ -90,11 +94,12 @@ TEST(LinearDelegation, EnforcedTrialBitEqualToChainSim) {
   auto intervals = graph.minimal_firing_intervals();
   for (Cycles& x : intervals) x *= 1.3;
 
-  GraphSimConfig graph_config;
+  sim::EnforcedSimConfig graph_config;
   graph_config.input_count = 4000;
   graph_config.deadline = 3.5e5;
   graph_config.seed = 17;
-  graph_config.initial_offsets = aligned_graph_phase_offsets(graph);
+  graph_config.initial_offsets =
+      sim::aligned_phase_offsets(graph_topology(graph));
 
   sim::EnforcedSimConfig chain_config;
   chain_config.input_count = 4000;
@@ -119,12 +124,12 @@ TEST(LinearDelegation, EnforcedTrialBitEqualToChainSim) {
   expect_same_metrics(chain_trial, graph_trial);
 }
 
-TEST(LinearDelegation, GreedyTrialBitEqualToChainSim) {
+TEST(LinearGraphSim, GreedyTrialBitEqualToChainSim) {
   const GraphSpec graph = blast_chain_graph();
   auto lowered = graph.lower_to_pipeline();
   ASSERT_TRUE(lowered.ok());
 
-  GraphGreedyConfig graph_config;
+  sim::GreedySimConfig graph_config;
   graph_config.input_count = 3000;
   graph_config.deadline = 3.5e5;
   graph_config.seed = 5;
@@ -145,10 +150,103 @@ TEST(LinearDelegation, GreedyTrialBitEqualToChainSim) {
   expect_same_metrics(chain_trial, graph_trial);
 }
 
+/// The Table-1 chain with its graph indices scrambled: the sink is node 0
+/// and the source node 2. Returns the graph and, per chain position p, the
+/// graph index of pipeline node p.
+std::pair<GraphSpec, std::vector<NodeIndex>> scrambled_blast_chain() {
+  const sdf::PipelineSpec pipeline = blast::canonical_blast_pipeline();
+  const std::vector<NodeIndex> chain_order = {2, 3, 1, 0};
+  std::vector<NodeIndex> position(chain_order.size());
+  for (NodeIndex p = 0; p < chain_order.size(); ++p) {
+    position[chain_order[p]] = p;
+  }
+  GraphBuilder builder("scrambled_blast");
+  builder.simd_width(pipeline.simd_width());
+  for (const NodeIndex p : position) {
+    builder.add_node(pipeline.node(p).name, NodeKind::kSiso,
+                     pipeline.service_time(p));
+  }
+  for (NodeIndex p = 0; p + 1 < pipeline.size(); ++p) {
+    builder.add_edge(chain_order[p], chain_order[p + 1], pipeline.node(p).gain);
+  }
+  auto built = builder.build();
+  EXPECT_TRUE(built.ok()) << built.error().message;
+  return {std::move(built).take(), chain_order};
+}
+
+/// Graph-indexed metrics put back in chain order.
+sim::TrialMetrics in_chain_order(sim::TrialMetrics metrics,
+                                 const std::vector<NodeIndex>& chain_order) {
+  std::vector<sim::NodeMetrics> nodes(chain_order.size());
+  for (std::size_t p = 0; p < chain_order.size(); ++p) {
+    nodes[p] = metrics.nodes[chain_order[p]];
+  }
+  metrics.nodes = std::move(nodes);
+  return metrics;
+}
+
+TEST(LinearGraphSim, OutOfPathOrderIndicesMatchChainSim) {
+  const auto [graph, chain_order] = scrambled_blast_chain();
+  ASSERT_TRUE(graph.is_linear());
+  ASSERT_EQ(graph.sink(), 0u);
+  auto lowered = graph.lower_to_pipeline();
+  ASSERT_TRUE(lowered.ok());
+  const sdf::PipelineSpec& pipeline = lowered.value();
+
+  std::vector<Cycles> graph_intervals = graph.minimal_firing_intervals();
+  for (Cycles& x : graph_intervals) x *= 1.3;
+  std::vector<Cycles> chain_intervals(chain_order.size());
+  for (std::size_t p = 0; p < chain_order.size(); ++p) {
+    chain_intervals[p] = graph_intervals[chain_order[p]];
+  }
+
+  for (const bool aligned : {false, true}) {
+    sim::EnforcedSimConfig chain_config;
+    chain_config.input_count = 3000;
+    chain_config.deadline = 3.5e5;
+    chain_config.seed = 23;
+    chain_config.charge_empty_firings = !aligned;
+    sim::EnforcedSimConfig graph_config = chain_config;
+    if (aligned) {
+      chain_config.initial_offsets = sim::aligned_phase_offsets(pipeline);
+      graph_config.initial_offsets =
+          sim::aligned_phase_offsets(graph_topology(graph));
+      for (std::size_t p = 0; p < chain_order.size(); ++p) {
+        EXPECT_EQ(graph_config.initial_offsets[chain_order[p]],
+                  chain_config.initial_offsets[p])
+            << p;
+      }
+    }
+    arrivals::PoissonArrivals chain_arrivals(50.0);
+    const auto chain_trial = sim::simulate_enforced_waits(
+        pipeline, chain_intervals, chain_arrivals, chain_config);
+    arrivals::PoissonArrivals graph_arrivals(50.0);
+    const auto graph_trial = simulate_graph_enforced(
+        graph, graph_intervals, graph_arrivals, graph_config);
+    SCOPED_TRACE(aligned);
+    expect_same_metrics(chain_trial, in_chain_order(graph_trial, chain_order));
+  }
+
+  for (const std::uint32_t min_batch : {1u, pipeline.simd_width()}) {
+    sim::GreedySimConfig config;
+    config.input_count = 3000;
+    config.deadline = 3.5e5;
+    config.seed = 29;
+    config.min_batch = min_batch;
+    arrivals::PoissonArrivals chain_arrivals(40.0);
+    const auto chain_trial =
+        sim::simulate_greedy_throughput(pipeline, chain_arrivals, config);
+    arrivals::PoissonArrivals graph_arrivals(40.0);
+    const auto graph_trial = simulate_graph_greedy(graph, graph_arrivals, config);
+    SCOPED_TRACE(min_batch);
+    expect_same_metrics(chain_trial, in_chain_order(graph_trial, chain_order));
+  }
+}
+
 TEST(DagEnforced, FlatDiamondConservesItemsExactly) {
   const GraphSpec graph = flat_diamond();
   const auto intervals = graph.minimal_firing_intervals();
-  GraphSimConfig config;
+  sim::EnforcedSimConfig config;
   config.input_count = 500;
   config.seed = 3;
   arrivals::FixedRateArrivals arrivals(2.0);
@@ -175,7 +273,7 @@ TEST(DagEnforced, FlatDiamondConservesItemsExactly) {
 TEST(DagEnforced, TelemetryFaninConservesPerStream) {
   const GraphSpec graph = telemetry_fanin_scenario().graph;
   const auto intervals = graph.minimal_firing_intervals();
-  GraphSimConfig config;
+  sim::EnforcedSimConfig config;
   config.input_count = 300;
   config.seed = 11;
   arrivals::FixedRateArrivals arrivals(5.0);
@@ -214,7 +312,7 @@ TEST(DagEnforced, SameSeedReproducesBitIdenticalTrials) {
   const GraphSpec graph = std::move(built).take();
   const auto intervals = graph.minimal_firing_intervals();
 
-  GraphSimConfig config;
+  sim::EnforcedSimConfig config;
   config.input_count = 2000;
   config.seed = 42;
   arrivals::FixedRateArrivals first_arrivals(2.0);
@@ -234,7 +332,7 @@ TEST(DagEnforced, SameSeedReproducesBitIdenticalTrials) {
 
 TEST(DagGreedy, FlatDiamondDrainsAndConserves) {
   const GraphSpec graph = flat_diamond();
-  GraphGreedyConfig config;
+  sim::GreedySimConfig config;
   config.input_count = 400;
   config.seed = 9;
   arrivals::FixedRateArrivals arrivals(3.0);
@@ -250,7 +348,7 @@ TEST(DagGreedy, FlatDiamondDrainsAndConserves) {
 
 TEST(Validation, MalformedInputsThrow) {
   const GraphSpec graph = flat_diamond();
-  GraphSimConfig config;
+  sim::EnforcedSimConfig config;
   config.input_count = 10;
   arrivals::FixedRateArrivals arrivals(2.0);
 

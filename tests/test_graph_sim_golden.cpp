@@ -19,8 +19,8 @@
 namespace ripple::graph {
 namespace {
 
-using EnforcedConfig = GraphSimConfig;
-using GreedyConfig = GraphGreedyConfig;
+using EnforcedConfig = sim::EnforcedSimConfig;
+using GreedyConfig = sim::GreedySimConfig;
 
 /// FNV-1a over every TrialMetrics field: per-node counters, stream counts,
 /// latency moments, every histogram bin, makespan and the event count.

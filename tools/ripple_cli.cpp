@@ -970,11 +970,11 @@ int cmd_graph(util::CliParser& cli) {
   }
   // JSON graph: no stage code — stochastic simulation of the gain models.
   arrivals::FixedRateArrivals arrival_process(tau0);
-  graph::GraphSimConfig config;
+  sim::EnforcedSimConfig config;
   config.input_count = static_cast<ItemCount>(inputs);
   config.deadline = deadline;
   config.seed = seed;
-  config.initial_offsets = graph::aligned_graph_phase_offsets(g);
+  config.initial_offsets = sim::aligned_phase_offsets(graph::graph_topology(g));
   const sim::TrialMetrics metrics = graph::simulate_graph_enforced(
       g, schedule.firing_intervals, arrival_process, config);
   std::cout << "\nstochastic DAG simulation, " << inputs << " inputs:\n";
