@@ -26,11 +26,11 @@
 // graph as graph_topology(graph) — one queue per edge plus the source's
 // arrival queue, the same object the graph simulators run over — adapts
 // each GraphStageFn to an item-carrying BatchStage, and runs the same
-// vector-wide event loop that PipelineExecutor runs on chains. A merge node's stage reads one item
-// window per in-edge. A linear graph is simply a chain-shaped topology; it
-// runs the same loop under its graph node indices, with the graph.* trace
-// names. Initial firings are pushed in topo_order(), which keeps same-time
-// firings in path order on a chain.
+// vector-wide event loop that PipelineExecutor runs on chains. A merge
+// node's stage reads one item window per in-edge. A linear graph is simply
+// a chain-shaped topology; it runs the same loop under its graph node
+// indices, with the graph.* trace names. Initial firings are pushed in
+// topo_order(), which keeps same-time firings in path order on a chain.
 //
 // run_reference() is the per-item oracle over the same topology: one
 // std::deque of (item, root) per queue, the same event cadence, scalar
