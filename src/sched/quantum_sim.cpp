@@ -6,6 +6,7 @@
 #include "dist/rng.hpp"
 #include "sched/stride_scheduler.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/lane_routing.hpp"
 #include "util/assert.hpp"
 #include "util/ring_buffer.hpp"
 
@@ -13,7 +14,7 @@ namespace ripple::sched {
 
 namespace {
 
-using RootId = std::uint32_t;
+using sim::detail::RootId;
 
 enum EventPriority : int {
   kPriorityArrival = 0,
@@ -36,7 +37,8 @@ struct NodeTask {
   Cycles remaining_work = 0.0;     // exclusive cycles left
   Cycles ready_time = 0.0;
   Cycles first_dispatch = 0.0;
-  std::vector<RootId> outputs;     // delivered at completion
+  std::vector<RootId> outputs;     // delivered at completion: the first
+  std::size_t output_count = 0;    //   output_count slots
   std::uint32_t consumed = 0;
 
   Cycles last_ready = 0.0;         // anchor for the cadence recursion
@@ -71,6 +73,11 @@ QuantumSimMetrics simulate_quantum_scheduled(
   metrics.service_span.resize(n);
 
   std::vector<NodeTask> tasks(n);
+  for (NodeIndex i = 0; i + 1 < n; ++i) {
+    tasks[i].outputs.resize(
+        sim::detail::bundle_capacity(v, pipeline.node(i).gain->max_outputs()));
+  }
+  tasks[n - 1].outputs.resize(v);
   std::vector<dist::OutputCount> gain_draws(v);
   StrideScheduler scheduler = StrideScheduler::equal_shares(n);
 
@@ -99,7 +106,8 @@ QuantumSimMetrics simulate_quantum_scheduled(
     NodeTask& task = tasks[i];
     const bool is_sink = (i + 1 == n);
     if (is_sink) {
-      for (const RootId root : task.outputs) {
+      for (std::size_t k = 0; k < task.output_count; ++k) {
+        const RootId root = task.outputs[k];
         ++metrics.base.sink_outputs;
         const Cycles latency = now - root_arrival[root];
         metrics.base.record_latency(latency);
@@ -110,15 +118,15 @@ QuantumSimMetrics simulate_quantum_scheduled(
         }
         metrics.base.makespan = std::max(metrics.base.makespan, now);
       }
-      live_items -= task.outputs.size();
+      live_items -= task.output_count;
     } else {
       auto& next_queue = tasks[i + 1].queue;
-      for (const RootId root : task.outputs) next_queue.push_back(root);
+      next_queue.append(task.outputs.data(), task.output_count);
       metrics.base.nodes[i + 1].max_queue_length =
           std::max<std::uint64_t>(metrics.base.nodes[i + 1].max_queue_length,
                                   next_queue.size());
     }
-    task.outputs.clear();
+    task.output_count = 0;
     task.firing_active = false;
     task.dispatched = false;
     scheduler.set_runnable(i, false);
@@ -150,21 +158,18 @@ QuantumSimMetrics simulate_quantum_scheduled(
 
     const bool is_sink = (i + 1 == n);
     if (is_sink) {
-      for (std::uint32_t k = 0; k < consumed; ++k) {
-        task.outputs.push_back(task.queue.pop_front());
-      }
+      sim::detail::copy_lanes(task.queue, consumed, task.outputs.data());
+      task.output_count = consumed;
+      task.queue.discard_front(consumed);
     } else if (consumed > 0) {
       // One batched virtual call per firing; identical RNG draw order.
-      pipeline.node(i).gain->sample_n(rng, gain_draws.data(), consumed);
-      std::uint64_t produced = 0;
-      for (std::uint32_t k = 0; k < consumed; ++k) {
-        const RootId root = task.queue.pop_front();
-        const dist::OutputCount outputs = gain_draws[k];
-        produced += outputs;
-        for (dist::OutputCount o = 0; o < outputs; ++o) {
-          task.outputs.push_back(root);
-        }
-      }
+      const dist::GainDistribution& gain = *pipeline.node(i).gain;
+      gain.sample_n(rng, gain_draws.data(), consumed);
+      const std::size_t produced = sim::detail::expand_lanes(
+          task.queue, consumed, gain_draws.data(), gain.max_outputs(),
+          task.outputs.data());
+      task.output_count = produced;
+      task.queue.discard_front(consumed);
       node.items_produced += produced;
       live_items += produced;
       live_items -= consumed;

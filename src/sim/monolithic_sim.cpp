@@ -39,6 +39,8 @@ void simulate_monolithic_into(const sdf::PipelineSpec& pipeline,
   // Per-item surviving-descendant counts while walking the block through the
   // stages; index parallel to block_arrivals.
   std::vector<std::uint64_t> descendant_counts;
+  // One stage's gain draws, one per surviving descendant in root order.
+  std::vector<dist::OutputCount> draws;
 
 #if RIPPLE_OBS
   // Blocks run back-to-back on one server, so a single dedicated track
@@ -80,12 +82,18 @@ void simulate_monolithic_into(const sdf::PipelineSpec& pipeline,
       service += stage_service;
 
       if (i + 1 == n) break;  // sink: items exit, no further expansion
-      const dist::GainDistribution& gain = *pipeline.node(i).gain;
+      // One batched draw for the whole stage, then each root's outputs are
+      // the sum over its descendants' run of draws: the same RNG stream as
+      // drawing root by root.
+      draws.resize(stage_items);
+      pipeline.node(i).gain->sample_n(rng, draws.data(), stage_items);
+      const dist::OutputCount* draw = draws.data();
       std::uint64_t produced = 0;
       for (std::size_t j = 0; j < m; ++j) {
-        // Batched: one virtual call per surviving root instead of one per
-        // descendant; consumes the identical RNG stream.
-        const std::uint64_t outputs = gain.sample_sum(rng, descendant_counts[j]);
+        std::uint64_t outputs = 0;
+        for (std::uint64_t c = 0; c < descendant_counts[j]; ++c) {
+          outputs += *draw++;
+        }
         descendant_counts[j] = outputs;
         produced += outputs;
       }

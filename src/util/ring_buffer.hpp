@@ -5,11 +5,15 @@
 // and per-block allocation on that path. This buffer keeps one contiguous
 // power-of-two array, masks instead of wrapping branches, and only touches
 // the allocator when it grows (capacity is retained across trials when the
-// buffer is reused).
+// buffer is reused). Batch producers and consumers move runs of elements:
+// append() copies a run in as at most two contiguous stores, and
+// front_spans() exposes the oldest elements as at most two contiguous reads.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -38,6 +42,27 @@ class RingBuffer {
     if (size_ == data_.size()) grow_to(data_.empty() ? kMinCapacity : data_.size() * 2);
     data_[(head_ + size_) & mask_] = std::move(value);
     ++size_;
+  }
+
+  /// Push `n` elements from `values` in order (n = 0 is a no-op). `values`
+  /// must not point into this buffer.
+  void append(const T* values, std::size_t n) {
+    if (size_ + n > data_.size()) grow_to(round_up_pow2(size_ + n));
+    const std::size_t tail = (head_ + size_) & mask_;
+    const std::size_t first = std::min(n, data_.size() - tail);
+    std::copy_n(values, first, data_.data() + tail);
+    std::copy_n(values + first, n - first, data_.data());
+    size_ += n;
+  }
+
+  /// The first n elements, oldest first, as two contiguous runs: the second
+  /// is empty unless the run crosses the end of the backing array.
+  std::pair<std::span<const T>, std::span<const T>> front_spans(
+      std::size_t n) const {
+    RIPPLE_REQUIRE(n <= size_, "front_spans() past end of RingBuffer");
+    const std::size_t first = std::min(n, data_.size() - head_);
+    return {std::span<const T>(data_.data() + head_, first),
+            std::span<const T>(data_.data(), n - first)};
   }
 
   const T& front() const {

@@ -90,6 +90,97 @@ TEST(RingBufferFuzzTest, NearCapacityOscillation) {
   EXPECT_EQ(ring.capacity(), capacity_before);  // never grew
 }
 
+/// Concatenated front_spans(n) of `ring` must equal the oracle's first n.
+void expect_front_spans(const util::RingBuffer<std::uint32_t>& ring,
+                        const std::deque<std::uint32_t>& oracle,
+                        std::size_t n) {
+  const auto [first, second] = ring.front_spans(n);
+  ASSERT_EQ(first.size() + second.size(), n);
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    ASSERT_EQ(first[i], oracle[i]);
+  }
+  for (std::size_t i = 0; i < second.size(); ++i) {
+    ASSERT_EQ(second[i], oracle[first.size() + i]);
+  }
+}
+
+TEST(RingBufferFuzzTest, BulkAppendAndFrontSpansMatchDequeOracle) {
+  // Runs of 0..40 elements against a buffer drained in batches of 0..61,
+  // so appends straddle the wrap point, grow the buffer while its contents
+  // are wrapped, and are sometimes empty.
+  dist::Xoshiro256 rng(0xB0CA);
+  util::RingBuffer<std::uint32_t> ring;
+  std::deque<std::uint32_t> oracle;
+  std::vector<std::uint32_t> run;
+  std::uint32_t next_value = 0;
+  std::size_t wrapped_appends = 0;
+  std::size_t wrapped_growths = 0;
+  std::size_t empty_appends = 0;
+
+  for (int round = 0; round < 20000; ++round) {
+    // Mostly drain-leaning, so the buffer stays small and runs cross its
+    // end often; short push-leaning bursts grow it while it is wrapped.
+    const bool push_biased = round % 2000 < 200;
+    const auto action = rng() % 100;
+    if ((push_biased && action < 70) || (!push_biased && action < 55)) {
+      run.resize(rng() % 41);
+      for (std::uint32_t& value : run) value = next_value++;
+      // Where this run starts and ends relative to the backing array, read
+      // through front_spans (the second span is non-empty iff wrapped).
+      const bool wrapped_before = !ring.front_spans(ring.size()).second.empty();
+      const std::size_t capacity_before = ring.capacity();
+      ring.append(run.data(), run.size());
+      oracle.insert(oracle.end(), run.begin(), run.end());
+      if (run.empty()) ++empty_appends;
+      if (ring.capacity() != capacity_before && wrapped_before) {
+        ++wrapped_growths;
+      }
+      if (ring.capacity() == capacity_before &&
+          !ring.front_spans(ring.size()).second.empty() && !run.empty() &&
+          ring.front_spans(ring.size() - run.size()).second.empty()) {
+        ++wrapped_appends;  // this run crossed the end of the array
+      }
+    } else if (!oracle.empty()) {
+      const std::size_t n =
+          rng() % (std::min<std::size_t>(oracle.size(), 61) + 1);
+      expect_front_spans(ring, oracle, n);
+      ring.discard_front(n);
+      oracle.erase(oracle.begin(),
+                   oracle.begin() + static_cast<std::ptrdiff_t>(n));
+    }
+    ASSERT_EQ(ring.size(), oracle.size());
+    expect_front_spans(ring, oracle, oracle.size());
+  }
+  // The seed must actually reach every case this test exists for.
+  EXPECT_GT(wrapped_appends, 100u);
+  EXPECT_GT(wrapped_growths, 0u);
+  EXPECT_GT(empty_appends, 100u);
+}
+
+TEST(RingBufferFuzzTest, AppendIntoEmptyAndZeroLengthEdges) {
+  util::RingBuffer<std::uint32_t> ring;
+  ring.append(nullptr, 0);  // no storage yet, nothing to copy
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), 0u);
+  const auto [first, second] = ring.front_spans(0);
+  EXPECT_TRUE(first.empty());
+  EXPECT_TRUE(second.empty());
+  EXPECT_THROW(ring.front_spans(1), std::exception);
+
+  // Fill exactly to capacity with the head mid-array, then append one more:
+  // growth must unwrap the contents before the new element lands.
+  const std::uint32_t values[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  ring.append(values, 6);
+  ring.discard_front(5);
+  ring.append(values + 6, 4);
+  ring.append(values, 3);
+  ASSERT_EQ(ring.size(), ring.capacity());
+  EXPECT_FALSE(ring.front_spans(ring.size()).second.empty());
+  ring.append(values + 9, 1);
+  const std::deque<std::uint32_t> want = {5, 6, 7, 8, 9, 0, 1, 2, 9};
+  expect_front_spans(ring, want, want.size());
+}
+
 // ---------------------------------------------------------------------------
 // runtime::SoaQueue vs oracle (typed and item representations)
 // ---------------------------------------------------------------------------
