@@ -111,6 +111,40 @@ void BM_EnforcedSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_EnforcedSimulation)->Arg(10000)->Arg(50000);
 
+void BM_EnforcedSimulationLanes(benchmark::State& state) {
+  // BM_EnforcedSimulation's trial run as one lockstep group of kTrialLanes
+  // trials (one shared event walk, gain draws vectorized across trials), as
+  // calibration runs its probes. Rates are per trial input, so items/s
+  // compares directly with BM_EnforcedSimulation.
+  const auto pipeline = blast::canonical_blast_pipeline();
+  const core::EnforcedWaitsStrategy strategy(
+      pipeline, core::EnforcedWaitsConfig{blast::paper_calibrated_b()});
+  const auto solved = strategy.solve(20.0, 1.85e5);
+  const ItemCount inputs = static_cast<ItemCount>(state.range(0));
+  sim::EnforcedSimConfig config;
+  config.input_count = inputs;
+  config.deadline = 1.85e5;
+  std::vector<sim::TrialMetrics> group(sim::kTrialLanes);
+  std::vector<std::uint64_t> seeds(sim::kTrialLanes);
+  std::uint64_t seed = 0;
+  std::uint64_t total_events = 0;
+  for (auto _ : state) {
+    for (std::uint64_t& s : seeds) s = ++seed;
+    sim::simulate_enforced_waits_lanes(pipeline,
+                                       solved.value().firing_intervals, 20.0,
+                                       config, seeds, group);
+    for (const sim::TrialMetrics& trial : group) {
+      benchmark::DoNotOptimize(trial.sink_outputs);
+      total_events += trial.events_processed;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(inputs) *
+                          static_cast<std::int64_t>(sim::kTrialLanes));
+  report_event_rate(state, total_events);
+}
+BENCHMARK(BM_EnforcedSimulationLanes)->Arg(10000)->Arg(50000);
+
 #if RIPPLE_OBS
 void BM_EnforcedSimulationObsEnabled(benchmark::State& state) {
   // Same workload as BM_EnforcedSimulation but with observability recording

@@ -1,13 +1,16 @@
 #include "calib/calibrate.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 #include <sstream>
 
 #include "arrivals/arrival_process.hpp"
 #include "dist/rng.hpp"
 #include "sim/enforced_sim.hpp"
 #include "sim/monolithic_sim.hpp"
+#include "sim/topology.hpp"
 #include "sim/trial_runner.hpp"
 #include "util/assert.hpp"
 #include "util/string_utils.hpp"
@@ -48,20 +51,28 @@ EnforcedProbeEvaluation evaluate_enforced_probe(
   eval.outcome.feasible = true;
   const std::vector<Cycles> intervals = solved.value().firing_intervals;
 
-  auto trial_body = [&, intervals](std::uint64_t trial, sim::TrialMetrics& out) {
-    arrivals::FixedRateArrivals arrival_process(probe.tau0);
-    sim::EnforcedSimConfig config;
-    config.input_count = options.inputs_per_trial;
-    config.deadline = probe.deadline;
-    config.seed = dist::derive_seed(
-        {options.base_seed, 0xE4F0ACEDULL, round,
-         static_cast<std::uint64_t>(probe.tau0 * 1e6),
-         static_cast<std::uint64_t>(probe.deadline), trial});
-    sim::simulate_enforced_waits_into(pipeline, intervals, arrival_process,
-                                      config, out);
+  // The probe's trials differ only in their gain seed, so they run in
+  // lockstep groups: one shared event walk per group, gain draws vectorized
+  // across its trials, each trial's metrics exactly its lone run's.
+  const sim::Topology topology = sim::chain_topology(pipeline, "fire");
+  sim::EnforcedSimConfig config;
+  config.input_count = options.inputs_per_trial;
+  config.deadline = probe.deadline;
+  auto group_body = [&](std::uint64_t first,
+                        std::span<sim::TrialMetrics> out) {
+    std::array<std::uint64_t, sim::kTrialLanes> seeds{};
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      seeds[k] = dist::derive_seed(
+          {options.base_seed, 0xE4F0ACEDULL, round,
+           static_cast<std::uint64_t>(probe.tau0 * 1e6),
+           static_cast<std::uint64_t>(probe.deadline), first + k});
+    }
+    sim::simulate_enforced_waits_lanes(
+        topology, intervals, probe.tau0, config,
+        std::span<const std::uint64_t>(seeds.data(), out.size()), out);
   };
-  const sim::TrialSummary summary = sim::run_trials_into(
-      trial_body, options.trials, options.pool, options.trial_grain);
+  const sim::TrialSummary summary = sim::run_trial_groups_into(
+      group_body, options.trials, options.pool, options.trial_grain);
 
   eval.outcome.miss_free_fraction = summary.miss_free_fraction();
   eval.outcome.mean_miss_fraction = summary.miss_fraction.mean();

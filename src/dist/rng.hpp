@@ -64,6 +64,13 @@ class Xoshiro256 {
   /// Uniform integer in [0, bound) without modulo bias (Lemire's method).
   std::uint64_t uniform_below(std::uint64_t bound) noexcept;
 
+  /// The four state words, for code that steps several generators side by
+  /// side (dist/lane_streams.hpp) and hands a stream back to this class.
+  const std::array<std::uint64_t, 4>& state() const noexcept { return state_; }
+  void set_state(const std::array<std::uint64_t, 4>& state) noexcept {
+    state_ = state;
+  }
+
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

@@ -23,6 +23,8 @@ struct ThreadSlot {
   std::uint64_t generation = 0;
 };
 thread_local ThreadSlot t_slot;
+// Live ScopedTraceMute guards muting this thread.
+thread_local int t_mutes = 0;
 
 }  // namespace
 
@@ -125,10 +127,18 @@ void TraceSession::clear() {
 
 TraceWriter TraceWriter::for_current_thread() {
   TraceWriter writer;
-  if (enabled()) {
+  if (enabled() && t_mutes == 0) {
     writer.ring_ = TraceSession::global().ring_for_current_thread();
   }
   return writer;
+}
+
+ScopedTraceMute::ScopedTraceMute(bool mute) noexcept : mute_(mute) {
+  if (mute_) ++t_mutes;
+}
+
+ScopedTraceMute::~ScopedTraceMute() {
+  if (mute_) --t_mutes;
 }
 
 }  // namespace ripple::obs

@@ -179,4 +179,20 @@ class TraceWriter {
   TraceRing* ring_ = nullptr;
 };
 
+/// While a muting guard is alive, TraceWriter::for_current_thread() on its
+/// thread returns an inactive writer; guards nest. The trial runners mute
+/// every trial but trial 0 (sim/trial_runner.hpp), so a traced multi-trial
+/// run records trial 0's sim timeline and no other, whatever the pool size
+/// and however the pool's threads interleave.
+class ScopedTraceMute {
+ public:
+  explicit ScopedTraceMute(bool mute) noexcept;
+  ~ScopedTraceMute();
+  ScopedTraceMute(const ScopedTraceMute&) = delete;
+  ScopedTraceMute& operator=(const ScopedTraceMute&) = delete;
+
+ private:
+  bool mute_;
+};
+
 }  // namespace ripple::obs

@@ -47,26 +47,29 @@ inline std::size_t bundle_capacity(std::uint32_t lanes,
          (max_outputs > 1 ? kFillBlock : 0);
 }
 
-/// Writes roots[k] draws[k] times, for k in [0, n), contiguously at `out` and
-/// returns the number written. `out` needs bundle_capacity(n, max_outputs)
-/// slots; `max_outputs` bounds every draw.
-inline std::size_t expand_run(const RootId* roots,
-                              const dist::OutputCount* draws, std::size_t n,
-                              dist::OutputCount max_outputs, RootId* out) {
+/// Writes roots[k] draws[k * DrawStride] times, for k in [0, n),
+/// contiguously at `out` and returns the number written. `out` needs
+/// bundle_capacity(n, max_outputs) slots; `max_outputs` bounds every draw.
+/// A stride above 1 reads one column of the row-per-draw layout of
+/// GainDistribution::sample_lanes.
+template <std::size_t DrawStride = 1>
+std::size_t expand_run(const RootId* roots, const dist::OutputCount* draws,
+                       std::size_t n, dist::OutputCount max_outputs,
+                       RootId* out) {
   // Each lane's root and draw are read before any store: `out` has their
   // element type, so a store could otherwise force them to be re-read.
   std::size_t pos = 0;
   if (max_outputs <= 1) {
     for (std::size_t k = 0; k < n; ++k) {
       const RootId root = roots[k];
-      const std::size_t draw = draws[k];
+      const std::size_t draw = draws[k * DrawStride];
       out[pos] = root;
       pos += draw;
     }
   } else {
     for (std::size_t k = 0; k < n; ++k) {
       const RootId root = roots[k];
-      const std::size_t draw = draws[k];
+      const std::size_t draw = draws[k * DrawStride];
       std::size_t filled = 0;
       do {
         std::fill_n(out + pos + filled, kFillBlock, root);
@@ -80,15 +83,16 @@ inline std::size_t expand_run(const RootId* roots,
 
 /// Expands the first `lanes` roots of `from` (left in place) per `draws`
 /// into `out`, as expand_run, and returns the number written.
-inline std::size_t expand_lanes(const util::RingBuffer<RootId>& from,
-                                std::uint32_t lanes,
-                                const dist::OutputCount* draws,
-                                dist::OutputCount max_outputs, RootId* out) {
+template <std::size_t DrawStride = 1>
+std::size_t expand_lanes(const util::RingBuffer<RootId>& from,
+                         std::uint32_t lanes, const dist::OutputCount* draws,
+                         dist::OutputCount max_outputs, RootId* out) {
   const auto [head, wrapped] = from.front_spans(lanes);
-  const std::size_t written =
-      expand_run(head.data(), draws, head.size(), max_outputs, out);
-  return written + expand_run(wrapped.data(), draws + head.size(),
-                              wrapped.size(), max_outputs, out + written);
+  const std::size_t written = expand_run<DrawStride>(
+      head.data(), draws, head.size(), max_outputs, out);
+  return written + expand_run<DrawStride>(
+                       wrapped.data(), draws + head.size() * DrawStride,
+                       wrapped.size(), max_outputs, out + written);
 }
 
 /// Copies the first `lanes` roots of `from` (left in place) to `out`.

@@ -5,10 +5,15 @@
 #include <optional>
 #include <vector>
 
+#include "dist/lane_streams.hpp"
 #include "dist/stats.hpp"
 #include "util/types.hpp"
 
 namespace ripple::sim {
+
+/// Trials a lockstep group runs side by side (simulate_enforced_waits_lanes,
+/// run_trial_groups_into): one gain stream per lane of dist::LaneStreams.
+inline constexpr std::size_t kTrialLanes = dist::kStreamLanes;
 
 /// Per-node counters. Cache-line aligned: adjacent nodes' counters live in a
 /// contiguous vector and are hammered from different threads when shards run

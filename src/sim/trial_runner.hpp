@@ -3,14 +3,18 @@
 // the fraction of miss-free trials, mean miss fraction, and mean measured
 // active fraction.
 //
-// On RIPPLE_OBS builds with recording enabled, every trial body is wrapped
-// in a host-domain "trial" span on the executing worker's track, and the
-// driver feeds the `trials.completed` counter and `trials.trial_wall_us`
-// histogram in the global metrics registry (docs/OBSERVABILITY.md).
+// On RIPPLE_OBS builds with recording enabled, every trial body (every
+// group body, for the group driver) is wrapped in a host-domain "trial" span
+// on the executing worker's track, and the driver feeds the
+// `trials.completed` counter and `trials.trial_wall_us` histogram in the
+// global metrics registry (docs/OBSERVABILITY.md). Trace recording is muted
+// for every trial but trial 0 (obs::ScopedTraceMute), so a traced run keeps
+// one trial's sim timeline, the same for any pool size.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "dist/stats.hpp"
@@ -22,6 +26,13 @@ namespace ripple::sim {
 /// Builds and runs one trial given its index; must be thread-safe across
 /// distinct indices (derive the trial seed from the index).
 using TrialFn = std::function<TrialMetrics(std::uint64_t trial_index)>;
+
+/// Lockstep trial group: run trials [first_trial, first_trial + out.size())
+/// into out[0], out[1], ... (simulate_enforced_waits_lanes). Like a trial
+/// body, it must be thread-safe across distinct groups and fully overwrite
+/// every out[k].
+using TrialGroupFn =
+    std::function<void(std::uint64_t first_trial, std::span<TrialMetrics> out)>;
 
 /// In-place trial body: run the trial for `trial_index` into `out`. The
 /// driver hands each worker a thread-local scratch TrialMetrics that is
@@ -76,5 +87,16 @@ TrialSummary run_trials(const TrialFn& trial_fn, std::uint64_t trial_count,
 TrialSummary run_trials_into(const TrialBodyFn& body, std::uint64_t trial_count,
                              util::ThreadPool* pool = nullptr,
                              std::size_t grain = 1);
+
+/// Group driver: runs the trials in groups of kTrialLanes consecutive
+/// indices (the last group may be short), each group through one call of
+/// `body`, and aggregates exactly as run_trials_into — so the TrialSummary is
+/// bit-identical to running the same trials one by one, for any pool and
+/// grain. `grain` counts trials: a worker claims max(1, grain / kTrialLanes)
+/// groups per fetch.
+TrialSummary run_trial_groups_into(const TrialGroupFn& body,
+                                   std::uint64_t trial_count,
+                                   util::ThreadPool* pool = nullptr,
+                                   std::size_t grain = 1);
 
 }  // namespace ripple::sim

@@ -13,6 +13,7 @@
 #include "cascade/simd_kernels.hpp"
 #include "device/dispatch.hpp"
 #include "device/kernel_registry.hpp"
+#include "dist/lane_kernels.hpp"
 
 namespace ripple::device {
 namespace {
@@ -238,6 +239,7 @@ TEST(KernelRegistry, DumpListsEveryVariantSorted) {
 TEST(KernelRegistry, CatalogDocMatchesRegistryDump) {
   blast::simd::register_kernels();
   cascade::simd::register_kernels();
+  dist::lanes::register_kernels();
 
   const std::string path = std::string(RIPPLE_REPO_ROOT) + "/docs/KERNELS.md";
   std::ifstream in(path);

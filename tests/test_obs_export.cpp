@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -12,13 +13,16 @@
 #include "blast/canonical.hpp"
 #include "core/enforced_waits.hpp"
 #include "dist/gain.hpp"
+#include "dist/rng.hpp"
 #include "graph/graph_executor.hpp"
 #include "graph/scenarios.hpp"
 #include "obs/obs.hpp"
 #include "runtime/pipeline_executor.hpp"
 #include "sdf/pipeline.hpp"
 #include "sim/enforced_sim.hpp"
+#include "sim/trial_runner.hpp"
 #include "util/jsonv.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ripple::obs {
 namespace {
@@ -203,6 +207,92 @@ TEST_F(ExportTest, PaperCellTraceIsDeterministicAndWellNested) {
   EXPECT_EQ(first, second);
 }
 
+// ------------------------------------------------- multi-trial sim traces
+//
+// A traced 4-trial enforced run on a 4-thread pool: every trial would write
+// the same node tracks at the same virtual times, so only trial 0 records.
+// The sim timeline must then be byte-identical across runs, and equal to
+// trial 0 run alone. Host "trial" spans carry wall-clock times and the sim
+// process id names whichever worker ran trial 0, so the comparison keeps
+// the kSim events and renumbers their ring.
+
+struct PoolRunCase {
+  sdf::PipelineSpec pipeline = blast::canonical_blast_pipeline();
+  std::vector<Cycles> intervals;
+  PoolRunCase() {
+    const core::EnforcedWaitsStrategy strategy(
+        pipeline, core::EnforcedWaitsConfig{blast::paper_calibrated_b()});
+    intervals = strategy.solve(20.0, 1.85e5).value().firing_intervals;
+  }
+  sim::EnforcedSimConfig config(std::uint64_t trial) const {
+    sim::EnforcedSimConfig c;
+    c.input_count = 4000;
+    c.deadline = 1.85e5;
+    c.seed = dist::derive_seed({7, trial});
+    return c;
+  }
+};
+
+std::string sim_timeline() {
+  auto& session = TraceSession::global();
+  std::vector<TraceEvent> sim_events;
+  for (TraceEvent event : session.drain()) {
+    if (event.domain != Domain::kSim) continue;
+    event.ring = 0;
+    sim_events.push_back(event);
+  }
+  EXPECT_GT(sim_events.size(), 0u);
+  EXPECT_EQ(session.dropped(), 0u);
+  std::ostringstream out;
+  write_chrome_trace(out, sim_events, session);
+  return out.str();
+}
+
+template <typename Run>
+std::string traced_sim_timeline(Run&& run) {
+  auto& session = TraceSession::global();
+  session.clear();
+  set_enabled(true);
+  run();
+  set_enabled(false);
+  return sim_timeline();
+}
+
+TEST_F(ExportTest, PooledTrialTracesAreDeterministic) {
+  const PoolRunCase c;
+  util::ThreadPool pool(4);
+  auto pooled = [&] {
+    sim::run_trials(
+        [&](std::uint64_t trial) {
+          arrivals::FixedRateArrivals arrivals(20.0);
+          return sim::simulate_enforced_waits(c.pipeline, c.intervals,
+                                              arrivals, c.config(trial));
+        },
+        4, &pool);
+  };
+  auto grouped = [&] {
+    sim::run_trial_groups_into(
+        [&](std::uint64_t first, std::span<sim::TrialMetrics> out) {
+          std::vector<std::uint64_t> seeds;
+          for (std::size_t k = 0; k < out.size(); ++k) {
+            seeds.push_back(c.config(first + k).seed);
+          }
+          sim::simulate_enforced_waits_lanes(c.pipeline, c.intervals, 20.0,
+                                             c.config(0), seeds, out);
+        },
+        4, &pool);
+  };
+  auto alone = [&] {
+    arrivals::FixedRateArrivals arrivals(20.0);
+    sim::simulate_enforced_waits(c.pipeline, c.intervals, arrivals,
+                                 c.config(0));
+  };
+  const std::string first = traced_sim_timeline(pooled);
+  EXPECT_EQ(traced_sim_timeline(pooled), first);
+  EXPECT_EQ(traced_sim_timeline(alone), first);
+  EXPECT_EQ(traced_sim_timeline(grouped), first);
+}
+
 // ------------------------------------------------- executor trace digests
 //
 // Pins the exported Chrome trace of three executor runs byte for byte (as
@@ -301,6 +391,10 @@ TEST_F(ExportTest, PaperCellTraceIsDeterministicAndWellNested) {
 
 TEST_F(ExportTest, ExecutorTracesArePinned) {
   GTEST_SKIP() << "executor instrumentation requires -DRIPPLE_OBS=ON";
+}
+
+TEST_F(ExportTest, PooledTrialTracesAreDeterministic) {
+  GTEST_SKIP() << "simulator instrumentation requires -DRIPPLE_OBS=ON";
 }
 
 #endif  // RIPPLE_OBS

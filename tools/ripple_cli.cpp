@@ -49,6 +49,7 @@
 #include "core/tradeoff.hpp"
 #include "device/dispatch.hpp"
 #include "device/kernel_registry.hpp"
+#include "dist/lane_kernels.hpp"
 #include "dist/rng.hpp"
 #include "graph/graph_executor.hpp"
 #include "graph/graph_io.hpp"
@@ -761,6 +762,7 @@ int cmd_recover(const sdf::PipelineSpec& pipeline, util::CliParser& cli) {
 device::AutotuneReport configure_dispatch(const util::CliParser& cli) {
   blast::simd::register_kernels();
   cascade::simd::register_kernels();
+  dist::lanes::register_kernels();
   const std::string& level_text = cli.get_string("simd-level");
   if (!level_text.empty()) {
     const std::optional<device::SimdLevel> level =
