@@ -40,7 +40,9 @@ struct CalibrationOptions {
   std::uint64_t base_seed = 0;
   util::ThreadPool* pool = nullptr;
   /// Consecutive trials a pool worker claims per atomic fetch (forwarded to
-  /// run_trials). Trials are seeded by index, so this never changes results.
+  /// the trial runners; enforced calibration's lockstep groups claim
+  /// max(1, trial_grain / kTrialLanes) groups). Trials are seeded by index,
+  /// so this never changes results.
   std::size_t trial_grain = 4;
 };
 
