@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "blast/canonical.hpp"
 #include "dist/gain.hpp"
+#include "graph/scenarios.hpp"
 
 namespace ripple::graph {
 namespace {
@@ -263,6 +268,76 @@ TEST(DagSolve, SolutionIsFeasibleForTheExposedProblem) {
       EXPECT_GT(solved.value().predicted_active_fraction, 0.0);
     }
   }
+}
+
+/// FNV-1a over every solve on a grid hugging the feasibility frontier: per
+/// cell the outcome, then either the failure code or every GraphSchedule
+/// field (waits, intervals, active fraction, budget used, the KKT report
+/// and the delegation flag). tau0 runs from just below the rate frontier
+/// upward; D from just below the deadline frontier at that tau0 upward.
+std::uint64_t frontier_plan_digest(const GraphSpec& graph,
+                                   const GraphPlanConfig& config) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  auto mix_bytes = [&hash](const void* data, std::size_t len) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < len; ++i) {
+      hash ^= bytes[i];
+      hash *= 1099511628211ULL;
+    }
+  };
+  auto mix = [&mix_bytes](const auto& value) {
+    mix_bytes(&value, sizeof(value));
+  };
+  auto mix_text = [&](const std::string& text) {
+    mix(text.size());
+    mix_bytes(text.data(), text.size());
+  };
+
+  const GraphPlanner planner(graph, config);
+  const Cycles tau_floor = planner.min_feasible_tau0(1e12);
+  for (double tau_scale : {0.99, 1.0, 1.01, 1.25, 2.0, 4.0, 16.0}) {
+    const Cycles tau0 = tau_floor * tau_scale;
+    const Cycles deadline_floor = planner.min_feasible_deadline(
+        std::max(tau0, tau_floor));
+    for (double deadline_scale : {0.999, 1.0, 1.001, 1.05, 1.5, 3.0, 10.0}) {
+      auto solved = planner.solve(tau0, deadline_floor * deadline_scale);
+      mix(solved.ok());
+      if (!solved.ok()) {
+        mix_text(solved.error().code);
+        continue;
+      }
+      const GraphSchedule& s = solved.value();
+      mix(s.waits.size());
+      for (Cycles w : s.waits) mix(w);
+      for (Cycles x : s.firing_intervals) mix(x);
+      mix(s.predicted_active_fraction);
+      mix(s.deadline_budget_used);
+      mix(s.kkt.primal_infeasibility);
+      mix(s.kkt.stationarity_residual);
+      mix(s.kkt.min_multiplier);
+      mix(s.kkt.active_labels.size());
+      for (const std::string& label : s.kkt.active_labels) mix_text(label);
+      mix(s.lowered_linear);
+    }
+  }
+  return hash;
+}
+
+TEST(DagSolve, GoldenDigestOnScenarioFrontiers) {
+  // Pins every bit of both scenario DAGs' plans (2 and 9 source-to-sink
+  // paths) at the optimistic b and at b = 2 on every node.
+  const GraphSpec blast = branching_blast_scenario().graph;
+  const GraphSpec fanin = telemetry_fanin_scenario().graph;
+  EXPECT_EQ(frontier_plan_digest(blast, GraphPlanConfig::optimistic(blast)),
+            0x6ea02286dbd5a1e2ULL);
+  EXPECT_EQ(frontier_plan_digest(
+                blast, GraphPlanConfig{std::vector<double>(blast.size(), 2.0)}),
+            0xd732e3e92276d904ULL);
+  EXPECT_EQ(frontier_plan_digest(fanin, GraphPlanConfig::optimistic(fanin)),
+            0x572b9f904f26b7c6ULL);
+  EXPECT_EQ(frontier_plan_digest(
+                fanin, GraphPlanConfig{std::vector<double>(fanin.size(), 2.0)}),
+            0x60c340b4056da18cULL);
 }
 
 }  // namespace
