@@ -201,45 +201,6 @@ linalg::Vector GraphPlanner::interior_start(Cycles tau0,
   return {};
 }
 
-linalg::Vector GraphPlanner::per_path_start(
-    Cycles tau0, Cycles deadline, const opt::ConvexProblem& problem) const {
-  // Solve each root->sink path's chain problem and take the per-node max.
-  // The combination can violate a path budget (maxima only raise sums), so
-  // it is only used when strictly interior for the full problem.
-  linalg::Vector combined(graph_.size(), 0.0);
-  std::vector<char> touched(graph_.size(), 0);
-  for (const GraphPath& path : paths_) {
-    sdf::PipelineBuilder builder(graph_.name() + ".path");
-    builder.simd_width(graph_.simd_width());
-    core::EnforcedWaitsConfig chain_config;
-    for (std::size_t p = 0; p < path.nodes.size(); ++p) {
-      const NodeIndex u = path.nodes[p];
-      dist::GainPtr gain = p < path.edges.size()
-                               ? graph_.edge(path.edges[p]).gain
-                               : std::make_shared<dist::DeterministicGain>(1);
-      builder.add_node(graph_.node(u).name, graph_.service_time(u),
-                       std::move(gain));
-      chain_config.b.push_back(config_.b[u]);
-    }
-    auto pipeline = builder.build();
-    if (!pipeline.ok()) continue;
-    core::EnforcedWaitsStrategy chain(std::move(pipeline).take(), chain_config);
-
-    auto solved = chain.solve(tau0, deadline);
-    if (!solved.ok()) continue;
-    for (std::size_t p = 0; p < path.nodes.size(); ++p) {
-      const NodeIndex u = path.nodes[p];
-      combined[u] = std::max(combined[u], solved.value().firing_intervals[p]);
-      touched[u] = 1;
-    }
-  }
-  for (char t : touched) {
-    if (!t) return {};
-  }
-  if (problem.min_slack(combined) <= 0.0) return {};
-  return combined;
-}
-
 GraphSchedule GraphPlanner::make_schedule(
     std::vector<Cycles> intervals, const opt::ConvexProblem& problem) const {
   GraphSchedule schedule;
@@ -316,14 +277,7 @@ util::Result<GraphSchedule> GraphPlanner::solve(Cycles tau0,
     return make_schedule(minimal_intervals_, problem);
   }
 
-  // Start from the per-path chain solves when the combination stays
-  // strictly interior; otherwise fall back to the generic interior point.
-  linalg::Vector path_start = per_path_start(tau0, deadline, problem);
-  auto solved =
-      opt::barrier_minimize(problem, path_start.empty() ? start : path_start);
-  if (!solved.ok() && !path_start.empty()) {
-    solved = opt::barrier_minimize(problem, start);
-  }
+  auto solved = opt::barrier_minimize(problem, start);
   if (!solved.ok()) {
     return R::failure(solved.error().code,
                       "barrier solve failed: " + solved.error().message);

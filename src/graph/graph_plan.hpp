@@ -14,9 +14,8 @@
 // delegates to EnforcedWaitsStrategy on the lowered PipelineSpec, making
 // linear-graph plans bit-identical to the chain solver's. Genuine DAGs carry
 // multiple path budgets — the single-lambda chained-waterfill closed form no
-// longer applies, so the planner solves each root->sink path's chain problem,
-// combines the per-node maxima into a barrier start, and certifies the
-// barrier optimum with a KKT check.
+// longer applies, so the planner runs the log-barrier solver from a strictly
+// interior point and certifies its optimum with a KKT check.
 #pragma once
 
 #include <memory>
@@ -92,8 +91,6 @@ class GraphPlanner {
   GraphSchedule make_schedule(std::vector<Cycles> intervals,
                               const opt::ConvexProblem& problem) const;
   linalg::Vector interior_start(Cycles tau0, Cycles deadline) const;
-  linalg::Vector per_path_start(Cycles tau0, Cycles deadline,
-                                const opt::ConvexProblem& problem) const;
 
   GraphSpec graph_;
   GraphPlanConfig config_;
