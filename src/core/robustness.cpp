@@ -1,8 +1,5 @@
 #include "core/robustness.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "core/waterfill.hpp"
 #include "util/assert.hpp"
 
@@ -46,25 +43,13 @@ util::Result<ScheduleSensitivity> analyze_sensitivity(
               x[i] - pipeline.service_time(i), x[i]);
   }
 
-  // Deadline multiplier: exact from water-filling when the chain couplings
-  // are inactive there; otherwise a central finite difference.
-  if (auto filled = waterfill_solve(pipeline, b, tau0, deadline);
-      filled.ok() && filled.value().chain_feasible) {
-    // The strategy objective carries a 1/N factor relative to sum t_i/x_i.
+  // Deadline multiplier: the pooled solve's budget multiplier is exact for
+  // the full problem. The strategy objective carries a 1/N factor relative
+  // to sum t_i/x_i.
+  if (auto pooled = waterfill_solve_pooled(pipeline, b, tau0, deadline);
+      pooled.ok()) {
     sensitivity.deadline_multiplier =
-        filled.value().lambda / static_cast<double>(n);
-    sensitivity.exact = true;
-  } else {
-    const double h = std::max(1.0, 1e-4 * deadline);
-    auto minus = strategy.solve(tau0, deadline - h);
-    auto plus = strategy.solve(tau0, deadline + h);
-    if (minus.ok() && plus.ok()) {
-      sensitivity.deadline_multiplier =
-          (minus.value().predicted_active_fraction -
-           plus.value().predicted_active_fraction) /
-          (2.0 * h);
-      sensitivity.exact = false;
-    }
+        pooled.value().lambda / static_cast<double>(n);
   }
 
   // Bottleneck: the active structural constraint family, preferring the

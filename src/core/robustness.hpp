@@ -3,8 +3,8 @@
 //
 // By Lagrangian duality, the deadline multiplier lambda of the optimum
 // equals -dT*/dD: the rate at which the optimal active fraction falls per
-// extra cycle of deadline. The water-filling solver recovers lambda exactly
-// when the chain constraints are inactive; this module packages it together
+// extra cycle of deadline. The pooled water-filling solve recovers lambda
+// exactly, chain constraints included; this module packages it together
 // with per-constraint slacks so tools can answer "is the deadline, the
 // arrival rate, or a chain coupling what's limiting this schedule?".
 #pragma once
@@ -26,11 +26,9 @@ struct ConstraintSlack {
 };
 
 struct ScheduleSensitivity {
-  /// -d(active fraction)/dD at the optimum: the marginal value of deadline.
-  /// Exact (from the water-filling multiplier) when `exact` is true;
-  /// otherwise estimated by a central finite difference of two solves.
+  /// -d(active fraction)/dD at the optimum: the marginal value of deadline,
+  /// exact (the pooled water-filling multiplier over N).
   double deadline_multiplier = 0.0;
-  bool exact = false;
 
   std::vector<ConstraintSlack> slacks;
 
