@@ -34,14 +34,6 @@ void vector_member(util::JsonWriter& json, std::string_view name,
 
 }  // namespace
 
-void write_pipeline_json(std::ostream& out, const sdf::PipelineSpec& pipeline) {
-  util::JsonWriter json(out);
-  json.begin_object();
-  pipeline_body(json, pipeline);
-  json.end_object();
-  out << '\n';
-}
-
 void write_enforced_schedule_json(std::ostream& out,
                                   const sdf::PipelineSpec& pipeline,
                                   const EnforcedWaitsConfig& config,

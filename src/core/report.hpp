@@ -1,7 +1,9 @@
-// JSON export of scheduling artifacts: pipelines, schedules, sweep surfaces.
+// JSON export of scheduling artifacts: schedules and sweep surfaces. A
+// standalone pipeline document is sdf::write_pipeline_spec_json's.
 //
 // Output schema (stable; consumed by plotting/automation tooling):
-//   pipeline: { name, simd_width, nodes: [{name, service_time, mean_gain}] }
+//   pipeline (nested in each schedule):
+//             { name, simd_width, nodes: [{name, service_time, mean_gain}] }
 //   enforced: { tau0, deadline, b, waits, firing_intervals,
 //               predicted_active_fraction, deadline_budget_used }
 //   monolithic: { tau0, deadline, b, S, block_size,
@@ -19,8 +21,6 @@
 #include "util/types.hpp"
 
 namespace ripple::core {
-
-void write_pipeline_json(std::ostream& out, const sdf::PipelineSpec& pipeline);
 
 void write_enforced_schedule_json(std::ostream& out,
                                   const sdf::PipelineSpec& pipeline,

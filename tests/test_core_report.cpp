@@ -15,23 +15,6 @@ EnforcedWaitsConfig paper_config() {
   return EnforcedWaitsConfig{blast::paper_calibrated_b()};
 }
 
-TEST(Report, PipelineJsonStructure) {
-  std::ostringstream out;
-  write_pipeline_json(out, blast_pipeline());
-  const std::string text = out.str();
-  EXPECT_NE(text.find("\"name\":\"blast(table1)\""), std::string::npos);
-  EXPECT_NE(text.find("\"simd_width\":128"), std::string::npos);
-  EXPECT_NE(text.find("\"seed_expand\""), std::string::npos);
-  EXPECT_NE(text.find("\"service_time\":2753"), std::string::npos);
-  // Four node objects.
-  std::size_t nodes = 0;
-  for (std::size_t pos = 0;
-       (pos = text.find("\"service_time\"", pos)) != std::string::npos; ++pos) {
-    ++nodes;
-  }
-  EXPECT_EQ(nodes, 4u);
-}
-
 TEST(Report, EnforcedScheduleJson) {
   const auto pipeline = blast_pipeline();
   const EnforcedWaitsStrategy strategy(pipeline, paper_config());
@@ -80,8 +63,13 @@ TEST(Report, SurfaceJsonCellCount) {
 }
 
 TEST(Report, JsonIsSingleLineTerminated) {
+  const auto pipeline = blast_pipeline();
+  const EnforcedWaitsStrategy strategy(pipeline, paper_config());
+  auto solved = strategy.solve(20.0, 1.85e5);
+  ASSERT_TRUE(solved.ok());
   std::ostringstream out;
-  write_pipeline_json(out, blast_pipeline());
+  write_enforced_schedule_json(out, pipeline, paper_config(), solved.value(),
+                               20.0, 1.85e5);
   const std::string text = out.str();
   ASSERT_FALSE(text.empty());
   EXPECT_EQ(text.back(), '\n');
