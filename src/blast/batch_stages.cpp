@@ -10,10 +10,6 @@ using runtime::Item;
 using runtime::LaneView;
 using runtime::StageFn;
 
-std::vector<std::string> stage_kernel_names() {
-  return {"blast.seed_probe", "", "blast.xdrop_extend", "blast.banded_dp"};
-}
-
 std::vector<BatchStage> make_batch_stages(const BlastStages& stages) {
   std::vector<BatchStage> out(4);
 

@@ -14,20 +14,12 @@
 // classic per-item StageFns for the reference engine and golden tests.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "blast/stages.hpp"
 #include "runtime/pipeline_executor.hpp"
 
 namespace ripple::blast {
-
-/// Registry kernel name pricing each batch stage, aligned with
-/// make_batch_stages() order. Stage 1 (seed expansion) is dominated by the
-/// scalar CSR walk, so its entry is empty: its t_i does not move with the
-/// resolved ISA. Feed to calib::stage_scales to reprice a measured pipeline
-/// for a different dispatch level.
-std::vector<std::string> stage_kernel_names();
 
 /// Vector-wide stages over `stages` (which must outlive the executor). The
 /// sink materializes collected results as blast::Alignment.

@@ -25,8 +25,7 @@
 // inputs: each kernel registers a microbench closure over fixed-seed
 // committed fixtures, and autotune() replays it per supported variant,
 // recording ns/item and the per-kernel winner. The report is the measured
-// per-ISA cost surface that calib/kernel_costs.hpp turns into solver stage
-// scales, closing the loop from resolved kernel to calibrated t_i.
+// per-ISA cost surface (`ripple_cli kernels --simd-autotune` prints it).
 //
 // The full catalog (docs/KERNELS.md) is generated from dump(); a test diffs
 // the two so the doc cannot go stale.

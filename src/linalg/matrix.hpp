@@ -1,4 +1,5 @@
-// Dense row-major matrix, sized for small optimization problems.
+// Dense row-major matrix, sized for small optimization problems: the
+// barrier's Newton systems and check_kkt's least-squares multiplier fits.
 #pragma once
 
 #include <cstddef>
@@ -15,8 +16,6 @@ class Matrix {
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-  static Matrix identity(std::size_t n);
-
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
   bool square() const noexcept { return rows_ == cols_; }
@@ -30,12 +29,11 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  Vector multiply(const Vector& x) const;
-  Matrix multiply(const Matrix& other) const;
-  Matrix transposed() const;
-
   /// A += s * I (used to regularize near-singular Newton systems).
-  void add_diagonal(double s);
+  void add_diagonal(double s) {
+    RIPPLE_REQUIRE(square(), "add_diagonal needs a square matrix");
+    for (std::size_t i = 0; i < rows_; ++i) data_[i * cols_ + i] += s;
+  }
 
   friend bool operator==(const Matrix&, const Matrix&) = default;
 

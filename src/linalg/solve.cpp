@@ -11,13 +11,12 @@ namespace {
 struct LuFactors {
   Matrix lu;                     // packed L (unit diagonal) and U
   std::vector<std::size_t> perm; // row permutation
-  int sign = 1;                  // permutation sign, for determinants
 };
 
 util::Result<LuFactors> factor_lu(const Matrix& a, double pivot_tolerance) {
   RIPPLE_REQUIRE(a.square(), "LU needs a square matrix");
   const std::size_t n = a.rows();
-  LuFactors f{a, std::vector<std::size_t>(n), 1};
+  LuFactors f{a, std::vector<std::size_t>(n)};
   std::iota(f.perm.begin(), f.perm.end(), std::size_t{0});
 
   for (std::size_t k = 0; k < n; ++k) {
@@ -40,7 +39,6 @@ util::Result<LuFactors> factor_lu(const Matrix& a, double pivot_tolerance) {
         std::swap(f.lu(k, c), f.lu(pivot_row, c));
       }
       std::swap(f.perm[k], f.perm[pivot_row]);
-      f.sign = -f.sign;
     }
     const double pivot = f.lu(k, k);
     for (std::size_t r = k + 1; r < n; ++r) {
@@ -117,16 +115,6 @@ util::Result<Vector> solve_cholesky(const Matrix& a, const Vector& b) {
     x[ii] = sum / l(ii, ii);
   }
   return x;
-}
-
-double determinant(const Matrix& a) {
-  // An exactly-zero pivot means a numerically singular matrix: det = 0.
-  auto factors = factor_lu(a, 1e-300);
-  if (!factors.ok()) return 0.0;
-  const auto& f = factors.value();
-  double det = f.sign;
-  for (std::size_t i = 0; i < a.rows(); ++i) det *= f.lu(i, i);
-  return det;
 }
 
 }  // namespace ripple::linalg

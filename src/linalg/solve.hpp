@@ -1,4 +1,5 @@
-// Direct solvers for the small dense systems arising in barrier-Newton steps.
+// Direct solvers for the small dense systems arising in barrier-Newton steps
+// and in check_kkt's least-squares multiplier fits.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -15,8 +16,5 @@ util::Result<Vector> solve_lu(const Matrix& a, const Vector& b,
 /// Solve A x = b for symmetric positive-definite A by Cholesky factorization.
 /// Fails with code "not_spd" if a leading minor is not positive.
 util::Result<Vector> solve_cholesky(const Matrix& a, const Vector& b);
-
-/// Determinant via LU (useful in tests).
-double determinant(const Matrix& a);
 
 }  // namespace ripple::linalg

@@ -4,11 +4,22 @@
 
 #include "linalg/solve.hpp"
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace ripple::opt {
 
 namespace {
+
+// Path-following schedule: mu starts at kInitialMu and shrinks by kMuShrink
+// per outer iteration until the gap proxy m * mu drops below kGapTolerance;
+// each inner Newton solve stops when decrement^2 / 2 <= kNewtonTolerance.
+constexpr double kInitialMu = 1.0;
+constexpr double kMuShrink = 0.1;
+constexpr double kGapTolerance = 1e-9;
+constexpr double kNewtonTolerance = 1e-10;
+constexpr int kMaxOuterIterations = 60;
+constexpr int kMaxNewtonIterations = 80;
+constexpr double kArmijoC = 1e-4;
+constexpr double kBacktrackRatio = 0.5;
 
 /// Count of barrier terms m (constraints + finite bounds): the duality-gap
 /// proxy is m * mu.
@@ -61,7 +72,7 @@ linalg::Vector barrier_gradient(const ConvexProblem& p, const linalg::Vector& x,
 linalg::Matrix barrier_hessian(const ConvexProblem& p, const linalg::Vector& x,
                                double mu) {
   const std::size_t n = x.size();
-  linalg::Matrix h = p.hessian ? p.hessian(x) : linalg::Matrix(n, n, 0.0);
+  linalg::Matrix h = p.hessian(x);
   for (const auto& c : p.constraints) {
     const double s = c.slack(x);
     const double w = mu / (s * s);
@@ -89,11 +100,11 @@ linalg::Matrix barrier_hessian(const ConvexProblem& p, const linalg::Vector& x,
 }  // namespace
 
 util::Result<BarrierSolution> barrier_minimize(const ConvexProblem& problem,
-                                               const linalg::Vector& interior_start,
-                                               const BarrierOptions& options) {
+                                               const linalg::Vector& interior_start) {
   using R = util::Result<BarrierSolution>;
   RIPPLE_REQUIRE(static_cast<bool>(problem.objective), "objective required");
   RIPPLE_REQUIRE(static_cast<bool>(problem.gradient), "gradient required");
+  RIPPLE_REQUIRE(static_cast<bool>(problem.hessian), "hessian required");
   RIPPLE_REQUIRE(interior_start.size() == problem.dimension(),
                  "start point dimension mismatch");
 
@@ -105,19 +116,18 @@ util::Result<BarrierSolution> barrier_minimize(const ConvexProblem& problem,
   BarrierSolution solution;
   solution.x = interior_start;
 
-  double mu = options.initial_mu;
-  for (int outer = 0; outer < options.max_outer_iterations; ++outer) {
+  double mu = kInitialMu;
+  for (int outer = 0; outer < kMaxOuterIterations; ++outer) {
     ++solution.outer_iterations;
 
     // Inner: damped Newton on the barrier-augmented objective at fixed mu.
-    for (int inner = 0; inner < options.max_newton_iterations; ++inner) {
+    for (int inner = 0; inner < kMaxNewtonIterations; ++inner) {
       const linalg::Vector g = barrier_gradient(problem, solution.x, mu);
       linalg::Matrix h = barrier_hessian(problem, solution.x, mu);
 
       auto step = linalg::solve_cholesky(h, linalg::scale(g, -1.0));
       if (!step.ok()) {
-        // Regularize a non-SPD Hessian (numerical, or missing objective
-        // Hessian) and fall back to LU.
+        // Regularize a numerically non-SPD Hessian and fall back to LU.
         h.add_diagonal(1e-8 * (1.0 + linalg::norm_inf(g)));
         auto retry = linalg::solve_lu(h, linalg::scale(g, -1.0));
         if (!retry.ok()) {
@@ -129,7 +139,7 @@ util::Result<BarrierSolution> barrier_minimize(const ConvexProblem& problem,
       const linalg::Vector& direction = step.value();
 
       const double decrement2 = -linalg::dot(g, direction);  // lambda^2
-      if (decrement2 * 0.5 <= options.newton_tolerance) break;
+      if (decrement2 * 0.5 <= kNewtonTolerance) break;
       ++solution.newton_iterations;
 
       // Backtracking: stay strictly feasible, then Armijo on barrier value.
@@ -142,23 +152,23 @@ util::Result<BarrierSolution> barrier_minimize(const ConvexProblem& problem,
         linalg::axpy(candidate, t, direction);
         if (problem.min_slack(candidate) > 0.0) {
           const double value = barrier_value(problem, candidate, mu);
-          if (value <= base - options.armijo_c * t * decrement2) {
+          if (value <= base - kArmijoC * t * decrement2) {
             accepted = true;
             break;
           }
         }
-        t *= options.backtrack_ratio;
+        t *= kBacktrackRatio;
       }
       if (!accepted) break;  // step stalled; outer loop will tighten mu
       solution.x = std::move(candidate);
     }
 
-    if (static_cast<double>(m) * mu < options.gap_tolerance) {
+    if (static_cast<double>(m) * mu < kGapTolerance) {
       solution.objective = problem.objective(solution.x);
       solution.final_mu = mu;
       return solution;
     }
-    mu *= options.mu_shrink;
+    mu *= kMuShrink;
   }
 
   return R::failure("no_convergence", "barrier iteration budget exhausted");

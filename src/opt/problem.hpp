@@ -3,8 +3,7 @@
 //   minimize f(x)   subject to   A x <= c,   l <= x <= u.
 //
 // This is the problem class both of the paper's optimizations reduce to
-// (Figures 1 and 2); the barrier, projected-gradient and KKT modules all
-// consume it.
+// (Figures 1 and 2); the barrier and KKT modules consume it.
 #pragma once
 
 #include <functional>
@@ -29,12 +28,11 @@ struct LinearInequality {
 };
 
 /// The problem description. Objective callbacks must be defined on the open
-/// feasible region; convexity is assumed by the barrier solver.
+/// feasible region; convexity is assumed by the barrier solver, which needs
+/// all three.
 struct ConvexProblem {
   std::function<double(const linalg::Vector&)> objective;
   std::function<linalg::Vector(const linalg::Vector&)> gradient;
-  /// Optional; when absent the barrier solver approximates with BFGS-free
-  /// diagonal secant (adequate for separable objectives).
   std::function<linalg::Matrix(const linalg::Vector&)> hessian;
 
   std::vector<LinearInequality> constraints;

@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "blast/batch_stages.hpp"
 #include "blast/canonical.hpp"
-#include "calib/kernel_costs.hpp"
 #include "core/enforced_waits.hpp"
 
 namespace ripple::calib {
@@ -120,123 +118,6 @@ TEST(CalibrateMonolithic, GivesUpWhenNothingFeasible) {
   const auto result = calibrate_monolithic(blast_pipeline(), {}, probes,
                                            fast_options());
   EXPECT_FALSE(result.success);
-}
-
-
-// --- Per-ISA kernel costs -> solver pricing (calib/kernel_costs.hpp) ---
-
-/// A synthetic per-ISA cost surface: enough structure to exercise the
-/// fall-down lookup (xdrop has no AVX2 measurement) and strongly non-uniform
-/// speedups (the late stages gain far more than the early ones).
-device::AutotuneReport synthetic_report() {
-  using device::SimdLevel;
-  device::AutotuneReport report;
-  report.kernels = {
-      {"blast.banded_dp",
-       {{SimdLevel::kScalar, 1, 5000.0},
-        {SimdLevel::kAvx2, 8, 1000.0},
-        {SimdLevel::kAvx512, 16, 500.0}},
-       SimdLevel::kAvx512},
-      {"blast.seed_probe",
-       {{SimdLevel::kScalar, 1, 8.0},
-        {SimdLevel::kAvx2, 8, 4.0},
-        {SimdLevel::kAvx512, 16, 2.0}},
-       SimdLevel::kAvx512},
-      {"blast.xdrop_extend",
-       {{SimdLevel::kScalar, 1, 250.0},
-        {SimdLevel::kAvx512, 16, 50.0}},
-       SimdLevel::kAvx512},
-  };
-  return report;
-}
-
-TEST(KernelCosts, ResolvedCostFallsDownLikeTheRegistry) {
-  using device::SimdLevel;
-  const device::AutotuneReport report = synthetic_report();
-  EXPECT_EQ(resolved_ns_per_item(report, "blast.banded_dp", SimdLevel::kAvx2),
-            1000.0);
-  // No AVX2 measurement for xdrop: capping at kAvx2 falls to scalar.
-  EXPECT_EQ(resolved_ns_per_item(report, "blast.xdrop_extend",
-                                 SimdLevel::kAvx2),
-            250.0);
-  EXPECT_EQ(resolved_ns_per_item(report, "blast.xdrop_extend",
-                                 SimdLevel::kAvx512),
-            50.0);
-  EXPECT_FALSE(resolved_ns_per_item(report, "unknown", SimdLevel::kAvx512)
-                   .has_value());
-}
-
-TEST(KernelCosts, StageScalesAreMeasuredRatios) {
-  using device::SimdLevel;
-  const std::vector<double> scales =
-      stage_scales(synthetic_report(), blast::stage_kernel_names(),
-                   SimdLevel::kScalar, SimdLevel::kAvx512);
-  ASSERT_EQ(scales.size(), 4u);
-  EXPECT_DOUBLE_EQ(scales[0], 2.0 / 8.0);     // seed_probe
-  EXPECT_DOUBLE_EQ(scales[1], 1.0);           // expansion: no vector kernel
-  EXPECT_DOUBLE_EQ(scales[2], 50.0 / 250.0);  // xdrop_extend
-  EXPECT_DOUBLE_EQ(scales[3], 500.0 / 5000.0);  // banded_dp
-}
-
-TEST(KernelCosts, RepriceKeepsStructureAndScalesServiceTimes) {
-  const sdf::PipelineSpec base = blast_pipeline();
-  const std::vector<double> scales = {0.25, 1.0, 0.2, 0.1};
-  const auto repriced = reprice_pipeline(base, scales);
-  ASSERT_TRUE(repriced.ok()) << repriced.error().message;
-  const sdf::PipelineSpec& spec = repriced.value();
-  ASSERT_EQ(spec.size(), base.size());
-  EXPECT_EQ(spec.simd_width(), base.simd_width());
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    EXPECT_DOUBLE_EQ(spec.service_time(i),
-                     base.service_time(i) * scales[i])
-        << "node " << i;
-    EXPECT_EQ(spec.node(i).name, base.node(i).name);
-    EXPECT_DOUBLE_EQ(spec.mean_gain(i), base.mean_gain(i));
-  }
-}
-
-TEST(KernelCosts, PerIsaStageCostsShiftTheSolvedPlan) {
-  // The demonstration the registry's calib loop exists for: t_i measured
-  // under scalar kernels vs the same pipeline repriced for AVX-512 dispatch
-  // produce materially different enforced-waits schedules, not a rescaled
-  // copy — the late stages get 5-10x cheaper while the front barely moves,
-  // so the optimizer re-balances the firing intervals across nodes.
-  const sdf::PipelineSpec scalar_priced = blast_pipeline();
-  const auto repriced = reprice_pipeline(
-      scalar_priced,
-      stage_scales(synthetic_report(), blast::stage_kernel_names(),
-                   device::SimdLevel::kScalar, device::SimdLevel::kAvx512));
-  ASSERT_TRUE(repriced.ok()) << repriced.error().message;
-
-  const core::EnforcedWaitsConfig config{blast::paper_calibrated_b()};
-  const core::EnforcedWaitsStrategy before(scalar_priced, config);
-  const core::EnforcedWaitsStrategy after(repriced.value(), config);
-
-  // Solve where the deadline budget binds (slack deadlines let the chain
-  // constraints pin the interval ratios regardless of t_i, hiding the
-  // shift). Both pipelines are feasible here: the scalar-priced one needs
-  // ~2.3e4 cycles minimum at this rate.
-  const Cycles tau0 = 20.0;
-  const Cycles deadline = 5e4;
-  const auto plan_before = before.solve(tau0, deadline);
-  const auto plan_after = after.solve(tau0, deadline);
-  ASSERT_TRUE(plan_before.ok()) << plan_before.error().message;
-  ASSERT_TRUE(plan_after.ok()) << plan_after.error().message;
-
-  // Cheaper kernels buy a lower active fraction and a smaller minimum
-  // feasible deadline...
-  EXPECT_LT(plan_after.value().predicted_active_fraction,
-            plan_before.value().predicted_active_fraction);
-  EXPECT_LT(after.min_feasible_deadline(tau0),
-            before.min_feasible_deadline(tau0));
-
-  // ...and the plan *shape* moves: the sink's share of the firing-interval
-  // budget collapses relative to the front stage (its kernel got 10x
-  // cheaper, the front's only 4x).
-  const auto share = [](const core::EnforcedWaitsSchedule& plan) {
-    return plan.firing_intervals[3] / plan.firing_intervals[0];
-  };
-  EXPECT_LT(share(plan_after.value()), 0.75 * share(plan_before.value()));
 }
 
 }  // namespace

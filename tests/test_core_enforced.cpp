@@ -7,7 +7,6 @@
 #include "blast/canonical.hpp"
 #include "dist/rng.hpp"
 #include "opt/barrier.hpp"
-#include "opt/projected_gradient.hpp"
 #include "sdf/analysis.hpp"
 
 namespace ripple::core {
@@ -107,23 +106,28 @@ TEST(Solve, SatisfiesKktAcrossTheGrid) {
   }
 }
 
-TEST(Solve, MatchesProjectedGradientCrossCheck) {
+TEST(Solve, MatchesBarrierCrossCheck) {
   const EnforcedWaitsStrategy strategy(blast_pipeline(), paper_config());
   const double tau0 = 20.0;
   const double deadline = 1.5e5;
-  auto barrier = strategy.solve(tau0, deadline);
-  ASSERT_TRUE(barrier.ok());
+  auto solved = strategy.solve(tau0, deadline);
+  ASSERT_TRUE(solved.ok());
 
   const opt::ConvexProblem problem = strategy.build_problem(tau0, deadline);
   const linalg::Vector start = strategy.interior_start(tau0, deadline);
   ASSERT_FALSE(start.empty());
-  auto pg = opt::projected_gradient_minimize(problem, start);
-  ASSERT_TRUE(pg.ok());
-  EXPECT_NEAR(barrier.value().predicted_active_fraction, pg.value().objective,
-              2e-3);
-  // Barrier should be at least as good (PG converges slowly near corners).
-  EXPECT_LE(barrier.value().predicted_active_fraction,
-            pg.value().objective + 1e-4);
+  auto barrier = opt::barrier_minimize(problem, start);
+  ASSERT_TRUE(barrier.ok());
+  EXPECT_NEAR(solved.value().predicted_active_fraction,
+              barrier.value().objective, 1e-6);
+  // The closed form is exact; the barrier stops within its duality gap.
+  EXPECT_LE(solved.value().predicted_active_fraction,
+            barrier.value().objective + 1e-12);
+  for (std::size_t i = 0; i < problem.dimension(); ++i) {
+    EXPECT_NEAR(solved.value().firing_intervals[i], barrier.value().x[i],
+                1e-3 * solved.value().firing_intervals[i])
+        << i;
+  }
 }
 
 TEST(Solve, ActiveFractionDecreasesWithDeadline) {

@@ -10,6 +10,26 @@
 namespace ripple::linalg {
 namespace {
 
+/// A x, for building right-hand sides with a known solution.
+Vector times(const Matrix& a, const Vector& x) {
+  Vector out(a.rows(), 0.0);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t c = 0; c < a.cols(); ++c) out[r] += a(r, c) * x[c];
+  }
+  return out;
+}
+
+/// B^T B, a symmetric positive semidefinite matrix.
+Matrix gram(const Matrix& b) {
+  Matrix out(b.cols(), b.cols());
+  for (std::size_t i = 0; i < b.cols(); ++i) {
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      for (std::size_t k = 0; k < b.rows(); ++k) out(i, j) += b(k, i) * b(k, j);
+    }
+  }
+  return out;
+}
+
 TEST(Vector, AddSubtractScale) {
   Vector a{1.0, 2.0};
   Vector b{3.0, 5.0};
@@ -33,40 +53,6 @@ TEST(Vector, DotAndNorms) {
 TEST(Vector, SizeMismatchThrows) {
   EXPECT_THROW((void)add({1.0}, {1.0, 2.0}), std::logic_error);
   EXPECT_THROW((void)dot({1.0}, {1.0, 2.0}), std::logic_error);
-}
-
-TEST(Matrix, IdentityAndMultiply) {
-  const Matrix eye = Matrix::identity(3);
-  const Vector x{1.0, 2.0, 3.0};
-  EXPECT_EQ(eye.multiply(x), x);
-}
-
-TEST(Matrix, MatrixVectorMultiply) {
-  Matrix a(2, 3);
-  a(0, 0) = 1; a(0, 1) = 2; a(0, 2) = 3;
-  a(1, 0) = 4; a(1, 1) = 5; a(1, 2) = 6;
-  EXPECT_EQ(a.multiply(Vector{1.0, 1.0, 1.0}), (Vector{6.0, 15.0}));
-}
-
-TEST(Matrix, MatrixMatrixMultiply) {
-  Matrix a(2, 2);
-  a(0, 0) = 1; a(0, 1) = 2; a(1, 0) = 3; a(1, 1) = 4;
-  Matrix b(2, 2);
-  b(0, 0) = 5; b(0, 1) = 6; b(1, 0) = 7; b(1, 1) = 8;
-  const Matrix c = a.multiply(b);
-  EXPECT_DOUBLE_EQ(c(0, 0), 19.0);
-  EXPECT_DOUBLE_EQ(c(0, 1), 22.0);
-  EXPECT_DOUBLE_EQ(c(1, 0), 43.0);
-  EXPECT_DOUBLE_EQ(c(1, 1), 50.0);
-}
-
-TEST(Matrix, Transpose) {
-  Matrix a(2, 3);
-  a(0, 2) = 7.0;
-  const Matrix t = a.transposed();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_EQ(t.cols(), 2u);
-  EXPECT_DOUBLE_EQ(t(2, 0), 7.0);
 }
 
 TEST(Matrix, IndexOutOfRangeThrows) {
@@ -108,7 +94,7 @@ TEST(SolveCholesky, SolvesSpdSystem) {
   a(1, 0) = 2; a(1, 1) = 5; a(1, 2) = 2;
   a(2, 0) = 0; a(2, 1) = 2; a(2, 2) = 5;
   const Vector truth{1.0, -2.0, 3.0};
-  const Vector rhs = a.multiply(truth);
+  const Vector rhs = times(a, truth);
   auto x = solve_cholesky(a, rhs);
   ASSERT_TRUE(x.ok());
   for (int i = 0; i < 3; ++i) EXPECT_NEAR(x.value()[i], truth[i], 1e-10);
@@ -120,18 +106,6 @@ TEST(SolveCholesky, RejectsIndefinite) {
   auto x = solve_cholesky(a, {1.0, 1.0});
   ASSERT_FALSE(x.ok());
   EXPECT_EQ(x.error().code, "not_spd");
-}
-
-TEST(Determinant, KnownValues) {
-  Matrix a(2, 2);
-  a(0, 0) = 3; a(0, 1) = 1; a(1, 0) = 2; a(1, 1) = 4;
-  EXPECT_NEAR(determinant(a), 10.0, 1e-12);
-  EXPECT_NEAR(determinant(Matrix::identity(4)), 1.0, 1e-12);
-}
-
-TEST(Determinant, SingularIsZero) {
-  Matrix a(2, 2, 1.0);
-  EXPECT_DOUBLE_EQ(determinant(a), 0.0);
 }
 
 /// Property: LU solve then multiply returns the rhs, over random SPD-ish
@@ -148,7 +122,7 @@ TEST_P(SolveRoundTrip, LuRecoversRhs) {
   }
   Vector truth(n);
   for (int i = 0; i < n; ++i) truth[i] = rng.uniform01() * 10.0 - 5.0;
-  const Vector rhs = a.multiply(truth);
+  const Vector rhs = times(a, truth);
   auto x = solve_lu(a, rhs);
   ASSERT_TRUE(x.ok());
   for (int i = 0; i < n; ++i) EXPECT_NEAR(x.value()[i], truth[i], 1e-8);
@@ -162,7 +136,7 @@ TEST_P(SolveRoundTrip, CholeskyMatchesLuOnSpd) {
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) b(i, j) = rng.uniform01() - 0.5;
   }
-  Matrix a = b.transposed().multiply(b);
+  Matrix a = gram(b);
   a.add_diagonal(static_cast<double>(n));
   Vector rhs(n);
   for (int i = 0; i < n; ++i) rhs[i] = rng.uniform01();

@@ -105,15 +105,6 @@ TEST(Barrier, RejectsNonInteriorStart) {
   ASSERT_FALSE(outside.ok());
 }
 
-TEST(Barrier, WorksWithoutExplicitHessian) {
-  ConvexProblem p = boxed_quadratic();
-  p.hessian = nullptr;  // falls back to barrier-only curvature
-  auto solved = barrier_minimize(p, {0.5, 0.5});
-  ASSERT_TRUE(solved.ok());
-  EXPECT_NEAR(solved.value().x[0], 1.0, 1e-3);
-  EXPECT_NEAR(solved.value().x[1], 1.0, 1e-3);
-}
-
 TEST(Barrier, TightBudgetPinsToLowerBounds) {
   // Budget exactly t0 + t1 + small slack: optimum hugs the lower bounds.
   const ConvexProblem p = waterfilling(100.0, 400.0, 510.0);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace ripple::opt {
 namespace {
 
@@ -112,6 +114,37 @@ TEST(Kkt, DegenerateVertexFindsNonnegativeMultipliers) {
   EXPECT_EQ(report.active_labels.size(), 3u);
   EXPECT_TRUE(report.satisfied(1e-9));
   EXPECT_GE(report.min_multiplier, 0.0);
+}
+
+// ConvexProblem's own feasibility helpers, which check_kkt and the barrier
+// build on.
+
+ConvexProblem box_only(linalg::Vector lo, linalg::Vector hi) {
+  ConvexProblem p;
+  p.lower_bounds = std::move(lo);
+  p.upper_bounds = std::move(hi);
+  p.objective = [](const linalg::Vector&) { return 0.0; };
+  p.gradient = [](const linalg::Vector& x) { return linalg::zeros(x.size()); };
+  return p;
+}
+
+TEST(ProblemHelpers, MinSlackAndFeasibility) {
+  ConvexProblem p = box_only({0.0, 0.0}, {1.0, 1.0});
+  LinearInequality c;
+  c.coefficients = {1.0, 1.0};
+  c.rhs = 1.5;
+  p.constraints.push_back(c);
+
+  EXPECT_TRUE(p.is_feasible({0.5, 0.5}));
+  EXPECT_NEAR(p.min_slack({0.5, 0.5}), 0.5, 1e-12);
+  EXPECT_FALSE(p.is_feasible({0.9, 0.9}));       // violates half-space
+  EXPECT_NEAR(p.infeasibility({0.9, 0.9}), 0.3, 1e-12);
+  EXPECT_FALSE(p.is_feasible({-0.1, 0.5}));      // violates lower bound
+}
+
+TEST(ProblemHelpers, DimensionMismatchThrows) {
+  const ConvexProblem p = box_only({0.0, 0.0}, {1.0, 1.0});
+  EXPECT_THROW((void)p.is_feasible({0.5}), std::logic_error);
 }
 
 }  // namespace
