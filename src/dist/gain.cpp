@@ -168,7 +168,7 @@ void CensoredPoissonGain::sample_lanes(LaneStreams& streams,
     GainDistribution::sample_lanes(streams, counts, out);
     return;
   }
-  lanes::cdf(streams, counts, lane_thresholds_.data(), cap_, out);
+  lanes::cdf(streams, counts, table_, lane_thresholds_.data(), cap_, out);
 }
 double CensoredPoissonGain::mean() const { return mean_; }
 double CensoredPoissonGain::variance() const { return variance_; }

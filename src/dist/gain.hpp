@@ -189,6 +189,9 @@ class CensoredPoissonGain final : public GainDistribution {
     return {lane_thresholds_.data(), cap_ <= kMaxLaneCap ? cap_ : 0u};
   }
 
+  /// The guide table every scalar draw inverts through.
+  const detail::CdfTable& table() const noexcept { return table_; }
+
  private:
   double lambda_;
   OutputCount cap_;

@@ -6,7 +6,8 @@
 // new state only in lanes whose count exceeds the row. xoshiro256**'s
 // multiplies by 5 and 9 are shift-adds, exact modulo 2^64. Both decisions
 // compare the draw's top 53 bits with integer thresholds, so no lane ever
-// converts to double; the scalar bodies make the same comparisons.
+// converts to double. The scalar bodies draw lane by lane: Bernoulli makes
+// the same comparison, censored Poisson looks the draw up in its guide table.
 #include "dist/lane_kernels.hpp"
 
 #include <algorithm>
@@ -46,18 +47,15 @@ void bernoulli_scalar(LaneStreams& streams, const std::uint32_t* counts,
   }
 }
 
+/// One lane at a time through the guide table, which touches one or two
+/// CDF entries per draw where a threshold scan would compare all of them.
 void cdf_scalar(LaneStreams& streams, const std::uint32_t* counts,
-                const std::uint64_t* thresholds, std::size_t threshold_count,
-                OutputCount* out) {
+                const detail::CdfTable& table, const std::uint64_t*,
+                std::size_t, OutputCount* out) {
   for (std::size_t k = 0; k < kLanes; ++k) {
     Xoshiro256 rng = streams.get(k);
     for (std::uint32_t i = 0; i < counts[k]; ++i) {
-      const std::uint64_t bits = rng() >> 11;
-      OutputCount value = 0;
-      for (std::size_t j = 0; j < threshold_count; ++j) {
-        value += bits >= thresholds[j] ? 1u : 0u;
-      }
-      out[i * kLanes + k] = value;
+      out[i * kLanes + k] = table.sample(rng);
     }
     streams.set(k, rng);
   }
@@ -165,7 +163,7 @@ __attribute__((target(RIPPLE_AVX2_TARGET))) void bernoulli_avx2(
 }
 
 __attribute__((target(RIPPLE_AVX2_TARGET))) void cdf_avx2(
-    LaneStreams& streams, const std::uint32_t* counts,
+    LaneStreams& streams, const std::uint32_t* counts, const detail::CdfTable&,
     const std::uint64_t* thresholds, std::size_t threshold_count,
     OutputCount* out) {
   const std::uint32_t rows = max_count(counts);
@@ -270,7 +268,7 @@ __attribute__((target(RIPPLE_AVX512_TARGET))) void bernoulli_avx512(
 }
 
 __attribute__((target(RIPPLE_AVX512_TARGET))) void cdf_avx512(
-    LaneStreams& streams, const std::uint32_t* counts,
+    LaneStreams& streams, const std::uint32_t* counts, const detail::CdfTable&,
     const std::uint64_t* thresholds, std::size_t threshold_count,
     OutputCount* out) {
   const std::uint32_t rows = max_count(counts);
@@ -330,8 +328,8 @@ std::uint64_t microbench_cdf(device::AnyKernelFn fn) {
   const CensoredPoissonGain gain(1.92, 16);
   const std::span<const std::uint64_t> thresholds = gain.lane_thresholds();
   for (int pass = 0; pass < 64; ++pass) {
-    reinterpret_cast<CdfLanesFn>(fn)(streams, counts, thresholds.data(),
-                                     thresholds.size(), out);
+    reinterpret_cast<CdfLanesFn>(fn)(streams, counts, gain.table(),
+                                     thresholds.data(), thresholds.size(), out);
   }
   return 64ull * kMicrobenchRows * kLanes;
 }
@@ -383,11 +381,11 @@ void bernoulli(LaneStreams& streams, const std::uint32_t* counts,
 }
 
 void cdf(LaneStreams& streams, const std::uint32_t* counts,
-         const std::uint64_t* thresholds, std::size_t threshold_count,
-         OutputCount* out) {
+         const detail::CdfTable& table, const std::uint64_t* thresholds,
+         std::size_t threshold_count, OutputCount* out) {
   register_kernels();
   thread_local device::KernelHandle<CdfLanesFn> handle("dist.cdf_lanes");
-  handle.fn()(streams, counts, thresholds, threshold_count, out);
+  handle.fn()(streams, counts, table, thresholds, threshold_count, out);
 }
 
 }  // namespace ripple::dist::lanes

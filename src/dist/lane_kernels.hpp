@@ -18,7 +18,8 @@
 //                          ceil(cdf[j] * 2^53) for every CDF entry but the
 //                          last) at or below the draw's top 53 bits: the
 //                          first k with uniform01() < cdf[k], which is the
-//                          CdfTable inversion (censored Poisson's draws).
+//                          CdfTable inversion (censored Poisson's draws);
+//                          the scalar body runs that inversion itself.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +34,7 @@ using BernoulliLanesFn = void (*)(LaneStreams& streams,
                                   const std::uint32_t* counts,
                                   std::uint64_t threshold, OutputCount* out);
 using CdfLanesFn = void (*)(LaneStreams& streams, const std::uint32_t* counts,
+                            const detail::CdfTable& table,
                             const std::uint64_t* thresholds,
                             std::size_t threshold_count, OutputCount* out);
 
@@ -43,11 +45,13 @@ void register_kernels();
 void bernoulli(LaneStreams& streams, const std::uint32_t* counts,
                std::uint64_t threshold, OutputCount* out);
 
-/// Resolve through the registry and run dist.cdf_lanes. The kernel
-/// compares every draw with every threshold, so callers keep the count
-/// small (CensoredPoissonGain::kMaxLaneCap).
+/// Resolve through the registry and run dist.cdf_lanes. `table` and
+/// `thresholds` describe the same CDF: the scalar body inverts each lane's
+/// draws through the table, the vector bodies compare every draw with every
+/// threshold, so callers keep the count small
+/// (CensoredPoissonGain::kMaxLaneCap).
 void cdf(LaneStreams& streams, const std::uint32_t* counts,
-         const std::uint64_t* thresholds, std::size_t threshold_count,
-         OutputCount* out);
+         const detail::CdfTable& table, const std::uint64_t* thresholds,
+         std::size_t threshold_count, OutputCount* out);
 
 }  // namespace ripple::dist::lanes
