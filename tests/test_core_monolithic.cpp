@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "blast/canonical.hpp"
 #include "dist/rng.hpp"
@@ -234,8 +236,8 @@ INSTANTIATE_TEST_SUITE_P(Deadlines, MonolithicDeadlineSweep,
 /// and is_feasible() agrees with the scan.
 class MonolithicRandom : public ::testing::TestWithParam<int> {};
 
-TEST_P(MonolithicRandom, SolverIsExactOnRandomPipelines) {
-  dist::Xoshiro256 rng(4000 + GetParam());
+/// A random chain of 2-4 nodes, SIMD width 8-64, censored-Poisson gains.
+sdf::PipelineSpec random_pipeline(dist::Xoshiro256& rng) {
   sdf::PipelineBuilder builder("random");
   const std::uint32_t v = 8u << rng.uniform_below(4);  // 8..64
   builder.simd_width(v);
@@ -247,7 +249,29 @@ TEST_P(MonolithicRandom, SolverIsExactOnRandomPipelines) {
                          : dist::make_censored_poisson(
                                0.1 + rng.uniform01() * 1.2, 8));
   }
-  const auto pipeline = std::move(builder.build()).take();
+  return std::move(builder.build()).take();
+}
+
+/// The first strict minimum of the objective over every feasible M in
+/// [1, max_block_size], or 0 when no M is feasible.
+std::int64_t brute_force_block(const MonolithicStrategy& strategy, double tau0,
+                               double deadline) {
+  double best = 0.0;
+  std::int64_t best_block = 0;
+  for (std::int64_t m = 1; m <= strategy.max_block_size(tau0, deadline); ++m) {
+    if (!strategy.is_block_feasible(m, tau0, deadline)) continue;
+    const double value = strategy.active_fraction(m, tau0);
+    if (best_block == 0 || value < best) {
+      best = value;
+      best_block = m;
+    }
+  }
+  return best_block;
+}
+
+TEST_P(MonolithicRandom, SolverIsExactOnRandomPipelines) {
+  dist::Xoshiro256 rng(4000 + GetParam());
+  const auto pipeline = random_pipeline(rng);
   MonolithicConfig config;
   config.b = static_cast<double>(1 + rng.uniform_below(3));
   config.S = 1.0 + rng.uniform01();
@@ -279,6 +303,56 @@ TEST_P(MonolithicRandom, SolverIsExactOnRandomPipelines) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MonolithicRandom, ::testing::Range(0, 20));
+
+/// Every deadline of a tau0 row against the brute-force scan: random
+/// pipelines, four (b, S) configs, tau0 from below the stability floor up,
+/// and deadlines out of order, repeated, and too short for any block.
+TEST(MonolithicRow, MatchesScanOnGrids) {
+  const MonolithicConfig configs[] = {{1.0, 1.0}, {2.0, 1.0}, {1.0, 1.5},
+                                      {3.0, 1.7}};
+  const double tau0_scales[] = {0.9, 1.02, 1.2, 2.0, 5.0};
+  const double deadline_scales[] = {900.0, 40.0, 0.5,  2500.0, 40.0,
+                                    1.0,   300.0, 3200.0, 120.0, 900.0};
+  std::size_t feasible = 0;
+  std::size_t infeasible = 0;
+  for (int seed = 0; seed < 8; ++seed) {
+    dist::Xoshiro256 rng(7000 + seed);
+    const auto pipeline = random_pipeline(rng);
+    for (const MonolithicConfig& config : configs) {
+      const MonolithicStrategy strategy(pipeline, config);
+      for (const double tau0_scale : tau0_scales) {
+        const double tau0 = pipeline.mean_service_per_input() * tau0_scale;
+        std::vector<double> deadlines;
+        for (const double scale : deadline_scales) {
+          deadlines.push_back(tau0 * scale);
+        }
+        for (const double deadline : deadlines) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + " b " +
+                       std::to_string(config.b) + " S " +
+                       std::to_string(config.S) + " tau0 " +
+                       std::to_string(tau0) + " D " + std::to_string(deadline));
+          const std::int64_t want = brute_force_block(strategy, tau0, deadline);
+          auto solved = strategy.solve(tau0, deadline);
+          EXPECT_EQ(strategy.is_feasible(tau0, deadline), want != 0);
+          if (want == 0) {
+            ++infeasible;
+            ASSERT_FALSE(solved.ok());
+            EXPECT_EQ(solved.error().code, "infeasible");
+            continue;
+          }
+          ++feasible;
+          ASSERT_TRUE(solved.ok());
+          EXPECT_EQ(solved.value().block_size, want);
+          EXPECT_EQ(solved.value().predicted_active_fraction,
+                    strategy.active_fraction(want, tau0));
+        }
+      }
+    }
+  }
+  // The grid reaches both sides of the frontier.
+  EXPECT_GT(feasible, 200u);
+  EXPECT_GT(infeasible, 200u);
+}
 
 }  // namespace
 }  // namespace ripple::core

@@ -5,6 +5,10 @@
 // pre-optimization simulate_enforced_waits; if the production simulator ever
 // reorders events, consumes the RNG stream differently, or changes how a
 // metric is accumulated, these comparisons fail.
+//
+// The monolithic simulator is pinned by digest instead: an FNV-1a hash of
+// every TrialMetrics field over a grid of block sizes, arrival processes and
+// flush settings, taken from the per-root block walk it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +19,7 @@
 #include "dist/rng.hpp"
 #include "sim/enforced_sim.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/monolithic_sim.hpp"
 #include "util/assert.hpp"
 
 namespace ripple::sim {
@@ -309,6 +314,114 @@ TEST(EnforcedGolden, BurstyArrivalsTieStress) {
   const auto got = simulate_enforced_waits(pipeline, intervals, got_arrivals,
                                            config);
   expect_identical(got, want);
+}
+
+/// FNV-1a over every TrialMetrics field, histogram bins included.
+class MetricsDigest {
+ public:
+  void add(const TrialMetrics& m) {
+    mix(m.nodes.size());
+    for (const NodeMetrics& node : m.nodes) {
+      mix(node.firings);
+      mix(node.empty_firings);
+      mix(node.items_consumed);
+      mix(node.items_produced);
+      mix(node.active_time);
+      mix(node.max_queue_length);
+    }
+    mix(m.inputs_arrived);
+    mix(m.inputs_on_time);
+    mix(m.inputs_missed);
+    mix(m.sink_outputs);
+    mix(m.output_latency.count());
+    mix(m.output_latency.mean());
+    mix(m.output_latency.variance());
+    mix(m.output_latency.min());
+    mix(m.output_latency.max());
+    mix(m.latency_histogram.has_value());
+    if (m.latency_histogram.has_value()) {
+      mix(m.latency_histogram->total());
+      for (std::size_t b = 0; b < m.latency_histogram->bin_count(); ++b) {
+        mix(m.latency_histogram->bin(b));
+      }
+    }
+    mix(m.makespan);
+    mix(m.vector_width);
+    mix(m.events_processed);
+    mix(m.sharing_actors);
+  }
+
+  std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  template <typename T>
+  void mix(const T& value) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(&value);
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      hash_ ^= bytes[i];
+      hash_ *= 1099511628211ULL;
+    }
+  }
+
+  std::uint64_t hash_ = 1469598103934665603ULL;
+};
+
+/// Digest of simulate_monolithic over blocks {1, 7, 128, 1664, 3039, 10112}
+/// (a lone input, a prime, one full vector, and three blocks that leave a
+/// partial final block), fixed and Poisson arrivals, flush on and off.
+std::uint64_t monolithic_digest(const sdf::PipelineSpec& pipeline, Cycles tau0,
+                                Cycles deadline) {
+  MetricsDigest digest;
+  std::uint64_t seed = 0;
+  for (const std::int64_t block : {1, 7, 128, 1664, 3039, 10112}) {
+    for (const bool poisson : {false, true}) {
+      for (const bool flush : {true, false}) {
+        MonolithicSimConfig config;
+        config.block_size = block;
+        config.input_count = 25000;
+        config.deadline = deadline;
+        config.seed = ++seed;
+        config.flush_final_partial_block = flush;
+        arrivals::FixedRateArrivals fixed(tau0);
+        arrivals::PoissonArrivals random(tau0);
+        arrivals::ArrivalProcess& arrivals =
+            poisson ? static_cast<arrivals::ArrivalProcess&>(random) : fixed;
+        digest.add(simulate_monolithic(pipeline, arrivals, config));
+      }
+    }
+  }
+  return digest.value();
+}
+
+TEST(MonolithicSimGolden, CanonicalBlast) {
+  // D = 1e5 at tau0 = 20: the small blocks meet it, the large ones miss.
+  EXPECT_EQ(monolithic_digest(blast::canonical_blast_pipeline(), 20.0, 1e5),
+            0x5f477d7d79c3a2cbULL);
+}
+
+TEST(MonolithicSimGolden, DeterministicFanOut) {
+  // Every root survives with 3 * 2 = 6 descendants at the sink.
+  auto spec = sdf::PipelineBuilder("fan_out")
+                  .simd_width(8)
+                  .add_node("a", 30.0, dist::make_deterministic(3))
+                  .add_node("b", 12.0, dist::make_deterministic(2))
+                  .add_node("c", 5.0, dist::make_deterministic(1))
+                  .build();
+  EXPECT_EQ(monolithic_digest(std::move(spec).take(), 40.0, 2e5),
+            0x36e4873ff46955e6ULL);
+}
+
+TEST(MonolithicSimGolden, ZeroGainEdge) {
+  // Half the roots survive the first stage and none the second: the sink
+  // never fires and every input is vacuously on time.
+  auto spec = sdf::PipelineBuilder("zero_gain")
+                  .simd_width(16)
+                  .add_node("a", 50.0, dist::make_bernoulli(0.5))
+                  .add_node("b", 80.0, dist::make_deterministic(0))
+                  .add_node("c", 10.0, dist::make_deterministic(1))
+                  .build();
+  EXPECT_EQ(monolithic_digest(std::move(spec).take(), 10.0, 5e4),
+            0x49c619c8c3b22372ULL);
 }
 
 }  // namespace
