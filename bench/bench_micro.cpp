@@ -5,11 +5,13 @@
 
 #include <algorithm>
 #include <optional>
+#include <vector>
 
 #include "arrivals/arrival_process.hpp"
 #include "blast/canonical.hpp"
 #include "core/enforced_waits.hpp"
 #include "core/monolithic.hpp"
+#include "core/sweep.hpp"
 #include "device/dispatch.hpp"
 #include "dist/gain.hpp"
 #include "dist/lane_streams.hpp"
@@ -90,6 +92,23 @@ void BM_MonolithicSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MonolithicSolve)->Arg(10)->Arg(100);
+
+// One tau0 row of the paper's sweep grid: every block over the 100 paper
+// deadlines from a single run walk. Items are cells.
+void BM_MonolithicSolveRow(benchmark::State& state) {
+  const auto pipeline = blast::canonical_blast_pipeline();
+  const core::MonolithicStrategy strategy(pipeline, {});
+  const double tau0 = static_cast<double>(state.range(0));
+  const std::vector<Cycles> deadlines =
+      core::SweepGrid::paper_ranges(1, 100).deadline_values;
+  for (auto _ : state) {
+    auto blocks = strategy.solve_row(tau0, deadlines);
+    benchmark::DoNotOptimize(blocks.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(deadlines.size()));
+}
+BENCHMARK(BM_MonolithicSolveRow)->Arg(1)->Arg(100);
 
 void BM_EnforcedSimulation(benchmark::State& state) {
   const auto pipeline = blast::canonical_blast_pipeline();

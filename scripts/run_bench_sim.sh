@@ -3,7 +3,8 @@
 # repo root. This is the perf artifact for the simulation-engine hot path:
 # items/sec and events/sec for the enforced-waits, monolithic, greedy, and
 # quantum-scheduled simulators plus the supporting engine microbenchmarks
-# (indexed scheduler, ring buffer, batched gain sampling).
+# (indexed scheduler, ring buffer, batched gain sampling) and the monolithic
+# solver behind the sweep (one cell, one tau0 row).
 #
 # Every benchmark runs 5 repetitions. The JSON keeps each repetition plus
 # google-benchmark's aggregates (mean, median, stddev, cv); the console
@@ -29,6 +30,7 @@ cmake --build "${BUILD_DIR}" --target bench_micro -j"$(nproc)"
 FILTER='BM_EnforcedSimulation|BM_MonolithicSimulation|BM_GreedySimulation'
 FILTER+='|BM_QuantumSimulation|BM_IndexedSchedulerCycle|BM_RingBufferPushPop'
 FILTER+='|BM_CensoredPoissonSampleN|BM_BernoulliSampleN|BM_EventQueuePushPop'
+FILTER+='|BM_MonolithicSolve'
 
 "${BUILD_DIR}/bench/bench_micro" \
   --benchmark_filter="${FILTER}" \

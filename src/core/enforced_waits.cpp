@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <string>
 
 #include "core/waterfill.hpp"
@@ -11,16 +10,6 @@
 #include "util/string_utils.hpp"
 
 namespace ripple::core {
-
-namespace {
-
-std::string scientific(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.3e", value);
-  return buffer;
-}
-
-}  // namespace
 
 EnforcedWaitsConfig EnforcedWaitsConfig::optimistic(
     const sdf::PipelineSpec& pipeline) {
@@ -228,12 +217,9 @@ util::Result<EnforcedWaitsSchedule> EnforcedWaitsStrategy::solve(
   if (!schedule.kkt.certified(/*primal=*/1e-9 * (1.0 + deadline),
                               /*stationarity=*/1e-8 * grad_scale,
                               /*multiplier=*/1e-8 * grad_scale)) {
-    return R::failure(
-        "uncertified",
-        "closed-form point fails the KKT certificate: primal " +
-            scientific(schedule.kkt.primal_infeasibility) + ", stationarity " +
-            scientific(schedule.kkt.stationarity_residual) +
-            ", min multiplier " + scientific(schedule.kkt.min_multiplier));
+    return R::failure("uncertified",
+                      "closed-form point fails the KKT certificate: " +
+                          schedule.kkt.residuals());
   }
   return schedule;
 }

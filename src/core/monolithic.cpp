@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "util/assert.hpp"
 #include "util/string_utils.hpp"
@@ -62,18 +63,30 @@ std::int64_t MonolithicStrategy::max_block_size(Cycles tau0,
   return std::min<std::int64_t>(static_cast<std::int64_t>(cap), kMaxBlockCap);
 }
 
-std::int64_t MonolithicStrategy::best_block(Cycles tau0, Cycles deadline,
-                                            bool first_feasible) const {
-  const std::int64_t hi = max_block_size(tau0, deadline);
+std::vector<std::int64_t> MonolithicStrategy::solve_row(
+    Cycles tau0, std::span<const Cycles> deadlines) const {
+  RIPPLE_REQUIRE(tau0 > 0.0, "tau0 must be positive");
+  std::vector<std::int64_t> blocks(deadlines.size(), 0);
+  // Tbar(M) >= M * c, so tau0 < c makes every block unstable.
+  if (deadlines.empty() || tau0 < service_per_input_floor_) return blocks;
+
+  std::vector<std::size_t> order(deadlines.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return deadlines[a] < deadlines[b];
+  });
+  // max_block_size grows with D: no deadline of the row admits a block
+  // past the largest deadline's cap.
+  const std::int64_t last_block = max_block_size(tau0, deadlines[order.back()]);
+
   const double v = static_cast<double>(pipeline_.simd_width());
   // The exact expressions of mean_block_service and is_block_feasible, so
   // that run boundaries and deadline checks agree with them bit for bit.
   const auto firings = [&](std::int64_t m, NodeIndex i) {
     return std::ceil(static_cast<double>(m) * total_gains_[i] / v);
   };
-  const auto meets_deadline = [&](std::int64_t m, Cycles tbar) {
-    return config_.b * static_cast<double>(m) * tau0 + config_.S * tbar <=
-           deadline;
+  const auto deadline_side = [&](std::int64_t m, Cycles tbar) {
+    return config_.b * static_cast<double>(m) * tau0 + config_.S * tbar;
   };
   // Largest m in [first, last] with ok(m), from a closed-form estimate
   // corrected by unit steps; ok must hold at first and switch from true to
@@ -89,41 +102,67 @@ std::int64_t MonolithicStrategy::best_block(Cycles tau0, Cycles deadline,
     return m;
   };
 
-  std::int64_t best = 0;
-  double best_value = 0.0;
-  for (std::int64_t start = 1; start <= hi;) {
-    const Cycles tbar = mean_block_service(start);
-    // b*M*tau0 + S*Tbar(M) never falls as M grows: once a run's first block
-    // misses the deadline, every later block does too.
-    if (!meets_deadline(start, tbar)) break;
-    std::int64_t end = hi;
+  // The current run [start, end] (clipped to last_block) and its Tbar;
+  // start > last_block once every run is walked.
+  std::int64_t start = 0;
+  std::int64_t end = 0;
+  Cycles tbar = 0.0;
+  const auto enter_run = [&](std::int64_t first) {
+    start = first;
+    if (start > last_block) return;
+    tbar = mean_block_service(start);
+    end = last_block;
     for (NodeIndex i = 0; i < pipeline_.size(); ++i) {
       if (total_gains_[i] <= 0.0) continue;
       const double k = firings(start, i);
       end = last_where(start, end, std::floor(k * v / total_gains_[i]),
                        [&](std::int64_t m) { return firings(m, i) <= k; });
     }
-    const std::int64_t block = last_where(
-        start, end,
-        std::floor((deadline - config_.S * tbar) / (config_.b * tau0)),
-        [&](std::int64_t m) { return meets_deadline(m, tbar); });
-    if (is_block_feasible(block, tau0, deadline)) {
-      if (first_feasible) return block;
-      const double value = active_fraction(block, tau0);
-      if (best == 0 || value < best_value) {
-        best = block;
-        best_value = value;
+  };
+  enter_run(1);
+
+  // First strict minimum over the runs that fit the deadlines so far whole.
+  std::int64_t best = 0;
+  double best_value = 0.0;
+  for (const std::size_t index : order) {
+    const Cycles deadline = deadlines[index];
+    const std::int64_t hi = max_block_size(tau0, deadline);
+    // A run fits whole when its last block is under the cap and meets the
+    // deadline; that block is then its candidate at every later deadline.
+    // Tbar is constant on the run, so tbar is Tbar(end) exactly.
+    while (start <= last_block && end <= hi &&
+           deadline_side(end, tbar) <= deadline) {
+      const double m = static_cast<double>(end);
+      if (tbar <= m * tau0) {  // stability
+        const double value = tbar / (m * tau0);
+        if (best == 0 || value < best_value) {
+          best = end;
+          best_value = value;
+        }
+      }
+      enter_run(end + 1);
+    }
+    std::int64_t block = best;
+    // The next run fits in part when its first block meets the deadline:
+    // its candidate is its largest block that does. Every later run starts
+    // past the cap or misses the deadline at its first block.
+    if (start <= hi && deadline_side(start, tbar) <= deadline) {
+      const std::int64_t partial = last_where(
+          start, std::min(end, hi),
+          std::floor((deadline - config_.S * tbar) / (config_.b * tau0)),
+          [&](std::int64_t m) { return deadline_side(m, tbar) <= deadline; });
+      if (is_block_feasible(partial, tau0, deadline) &&
+          (best == 0 || active_fraction(partial, tau0) < best_value)) {
+        block = partial;
       }
     }
-    start = end + 1;
+    blocks[index] = block;
   }
-  return best;
+  return blocks;
 }
 
 bool MonolithicStrategy::is_feasible(Cycles tau0, Cycles deadline) const {
-  // Tbar(M) >= M * c, so tau0 < c makes every block unstable.
-  if (tau0 < service_per_input_floor_) return false;
-  return best_block(tau0, deadline, /*first_feasible=*/true) > 0;
+  return solve_row(tau0, std::span<const Cycles>(&deadline, 1)).front() > 0;
 }
 
 MonolithicSchedule MonolithicStrategy::make_schedule(std::int64_t block_size,
@@ -162,7 +201,7 @@ util::Result<MonolithicSchedule> MonolithicStrategy::solve(
                           " exceeds D = " + util::format_double(deadline, 3));
   }
   const std::int64_t block =
-      best_block(tau0, deadline, /*first_feasible=*/false);
+      solve_row(tau0, std::span<const Cycles>(&deadline, 1)).front();
   if (block == 0) {
     return R::failure("infeasible",
                       "no block size in [1, " + std::to_string(hi) +

@@ -19,12 +19,21 @@
 // Tbar is a step function of M: it is constant on runs of M over which
 // every ceil(M * G_i / v) is constant. Within a run the objective falls and
 // the stability side relaxes as M grows, so the run's best block is its
-// largest deadline-feasible M. solve() walks the runs in order and keeps
-// the first strict minimum, which is exactly the block a scan over every M
-// would pick.
+// largest deadline-feasible M. Walking the runs in order and keeping the
+// first strict minimum picks exactly the block a scan over every M would.
+//
+// At a fixed tau0 the runs, each run's last block, its stability and its
+// objective do not depend on D, and the deadline side grows with M, so the
+// runs that fit D whole form a prefix that grows with D; at most the one
+// run after it fits in part. solve_row() therefore walks the runs once per
+// tau0 row, taking the deadlines in ascending order and folding each newly
+// whole run into a running argmin; solve() and is_feasible() are rows of
+// one deadline.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "sdf/pipeline.hpp"
 #include "util/result.hpp"
@@ -62,7 +71,7 @@ class MonolithicStrategy {
   /// Objective rho0 * Tbar(M)/M at a specific M.
   double active_fraction(std::int64_t block_size, Cycles tau0) const;
 
-  /// Any feasible M at all?
+  /// Any feasible M at all? solve_row() of one deadline.
   bool is_feasible(Cycles tau0, Cycles deadline) const;
 
   /// Largest M the deadline can possibly admit. The deadline constraint is
@@ -71,18 +80,18 @@ class MonolithicStrategy {
   /// M <= D / (b*tau0 + S*c); every excluded M is infeasible.
   std::int64_t max_block_size(Cycles tau0, Cycles deadline) const;
 
-  /// Exact optimizer over [1, max_block_size]: the run walk described at
-  /// the top of this file. Ties go to the smallest block.
+  /// Exact optimizer over [1, max_block_size]: solve_row() of one deadline.
+  /// Ties go to the smallest block.
   util::Result<MonolithicSchedule> solve(Cycles tau0, Cycles deadline) const;
+
+  /// The optimal block at every deadline of one tau0 row, in the order
+  /// given (any order, repeats allowed), or 0 where no block is feasible:
+  /// the one run walk described at the top of this file.
+  std::vector<std::int64_t> solve_row(Cycles tau0,
+                                      std::span<const Cycles> deadlines) const;
 
  private:
   MonolithicSchedule make_schedule(std::int64_t block_size, Cycles tau0) const;
-
-  /// The run walk: the optimal feasible block in [1, max_block_size], or 0
-  /// when there is none. With `first_feasible` it stops at the first
-  /// feasible block instead.
-  std::int64_t best_block(Cycles tau0, Cycles deadline,
-                          bool first_feasible) const;
 
   sdf::PipelineSpec pipeline_;
   MonolithicConfig config_;

@@ -84,58 +84,65 @@ SweepSurface run_sweep(const sdf::PipelineSpec& pipeline,
 #if RIPPLE_OBS
   // Handles resolved once per sweep; workers only touch atomics.
   obs::Counter* cells_solved = nullptr;
-  obs::LatencyHistogram* cell_solve_us = nullptr;
+  obs::LatencyHistogram* row_solve_us = nullptr;
   if (obs::enabled()) {
     auto& registry = obs::Registry::global();
     cells_solved = registry.counter("sweep.cells_solved");
-    cell_solve_us = registry.histogram("sweep.cell_solve_us");
+    row_solve_us = registry.histogram("sweep.row_solve_us");
   }
 #endif
 
-  auto solve_cell = [&](std::size_t index) {
-    SweepCell cell;
-    cell.tau0 = grid.tau0_values[index / d_count];
-    cell.deadline = grid.deadline_values[index % d_count];
+  // One tau0 row per task: the monolithic blocks of the whole row come from
+  // one run walk, the enforced-waits schedules cell by cell.
+  auto sweep_row = [&](std::size_t row) {
+    const Cycles tau0 = grid.tau0_values[row];
 
 #if RIPPLE_OBS
     obs::TraceWriter trace = obs::TraceWriter::for_current_thread();
     double solve_begin_us = 0.0;
     if (trace.active()) {
       solve_begin_us = obs::TraceSession::global().host_now_us();
-      trace.begin(obs::Domain::kHost, trace.track(), "cell_solve",
+      trace.begin(obs::Domain::kHost, trace.track(), "row_solve",
                   solve_begin_us);
     }
-    if (cells_solved != nullptr) cells_solved->increment();
+    if (cells_solved != nullptr) cells_solved->add(d_count);
 #endif
 
-    if (auto solved = enforced.solve(cell.tau0, cell.deadline); solved.ok()) {
-      cell.enforced_feasible = true;
-      cell.enforced_active_fraction = solved.value().predicted_active_fraction;
+    const std::vector<std::int64_t> blocks =
+        monolithic.solve_row(tau0, grid.deadline_values);
+    for (std::size_t di = 0; di < d_count; ++di) {
+      SweepCell& cell = cells[row * d_count + di];
+      cell.tau0 = tau0;
+      cell.deadline = grid.deadline_values[di];
+      if (auto solved = enforced.solve(tau0, cell.deadline); solved.ok()) {
+        cell.enforced_feasible = true;
+        cell.enforced_active_fraction =
+            solved.value().predicted_active_fraction;
+      }
+      if (blocks[di] > 0) {
+        cell.monolithic_feasible = true;
+        cell.monolithic_active_fraction =
+            monolithic.active_fraction(blocks[di], tau0);
+        cell.monolithic_block = blocks[di];
+      }
     }
-    if (auto solved = monolithic.solve(cell.tau0, cell.deadline); solved.ok()) {
-      cell.monolithic_feasible = true;
-      cell.monolithic_active_fraction = solved.value().predicted_active_fraction;
-      cell.monolithic_block = solved.value().block_size;
-    }
-    cells[index] = cell;
 
 #if RIPPLE_OBS
     if (trace.active()) {
       const double solve_end_us = obs::TraceSession::global().host_now_us();
-      trace.end(obs::Domain::kHost, trace.track(), "cell_solve", solve_end_us);
-      if (cell_solve_us != nullptr) {
-        cell_solve_us->record(solve_end_us - solve_begin_us);
+      trace.end(obs::Domain::kHost, trace.track(), "row_solve", solve_end_us);
+      if (row_solve_us != nullptr) {
+        row_solve_us->record(solve_end_us - solve_begin_us);
       }
     }
 #endif
   };
 
+  const std::size_t rows = grid.tau0_values.size();
   if (options.pool != nullptr) {
-    options.pool->parallel_for(cells.size(), solve_cell, options.grain);
+    options.pool->parallel_for(rows, sweep_row);
   } else {
-    for (std::size_t index = 0; index < cells.size(); ++index) {
-      solve_cell(index);
-    }
+    for (std::size_t row = 0; row < rows; ++row) sweep_row(row);
   }
   return SweepSurface(grid, std::move(cells));
 }

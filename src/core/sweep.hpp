@@ -4,11 +4,13 @@
 // For every grid cell both strategies are optimized analytically; cells where
 // a strategy is infeasible are recorded as such and, for difference plots,
 // charged an active fraction of 1.0 (an infeasible strategy cannot yield any
-// processor time because it cannot even keep up).
+// processor time because it cannot even keep up). The unit of work is one
+// tau0 row: its monolithic blocks come from one MonolithicStrategy::solve_row
+// walk, its enforced-waits schedules from one solve per cell.
 //
 // On RIPPLE_OBS builds with recording enabled, the sweep emits a host-domain
-// "cell_solve" trace span per cell and feeds the `sweep.*` metrics — cells
-// solved and per-cell solve latency (docs/OBSERVABILITY.md).
+// "row_solve" trace span per tau0 row and feeds the `sweep.*` metrics — cells
+// solved and per-row solve latency (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstdint>
@@ -97,12 +99,9 @@ struct DominanceSummary {
 
 /// Execution knobs for run_sweep.
 struct SweepOptions {
-  /// Null = serial.
+  /// Null = serial. Workers claim one tau0 row at a time; cell outputs are
+  /// index-addressed, so the thread count never changes the surface.
   util::ThreadPool* pool = nullptr;
-  /// Consecutive cells a worker claims per atomic fetch (cell outputs are
-  /// index-addressed, so neither the grain nor the thread count changes the
-  /// surface).
-  std::size_t grain = 1;
 };
 
 /// Optimize both strategies over every grid cell.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "sdf/analysis.hpp"
 #include "util/assert.hpp"
@@ -51,18 +53,24 @@ util::Result<TradeoffCurve> trace_tradeoff(const sdf::PipelineSpec& pipeline,
   const double ratio =
       std::pow(max_deadline / floor_deadline,
                1.0 / static_cast<double>(config.samples - 1));
+  std::vector<Cycles> deadlines(config.samples);
   Cycles deadline = floor_deadline;
   for (std::size_t s = 0; s < config.samples; ++s, deadline *= ratio) {
+    deadlines[s] = deadline;
+  }
+  // The monolithic blocks of every sample come from one run walk.
+  const std::vector<std::int64_t> blocks = monolithic.solve_row(tau0, deadlines);
+  for (std::size_t s = 0; s < config.samples; ++s) {
     TradeoffPoint point;
-    point.deadline = deadline;
-    if (auto solved = enforced.solve(tau0, deadline); solved.ok()) {
+    point.deadline = deadlines[s];
+    if (auto solved = enforced.solve(tau0, point.deadline); solved.ok()) {
       point.enforced_feasible = true;
       point.enforced_active_fraction = solved.value().predicted_active_fraction;
     }
-    if (auto solved = monolithic.solve(tau0, deadline); solved.ok()) {
+    if (blocks[s] > 0) {
       point.monolithic_feasible = true;
       point.monolithic_active_fraction =
-          solved.value().predicted_active_fraction;
+          monolithic.active_fraction(blocks[s], tau0);
     }
     curve.points.push_back(point);
   }

@@ -282,9 +282,21 @@ util::Result<GraphSchedule> GraphPlanner::solve(Cycles tau0,
     return R::failure(solved.error().code,
                       "barrier solve failed: " + solved.error().message);
   }
-  return make_schedule(
+  GraphSchedule schedule = make_schedule(
       std::vector<Cycles>(solved.value().x.begin(), solved.value().x.end()),
       problem);
+  // The chain solver's certificate: a barrier point is returned only when
+  // the KKT check proves it optimal.
+  const double grad_scale =
+      1.0 + linalg::norm_inf(problem.gradient(solved.value().x));
+  if (!schedule.kkt.certified(/*primal=*/1e-9 * (1.0 + deadline),
+                              /*stationarity=*/1e-8 * grad_scale,
+                              /*multiplier=*/1e-8 * grad_scale)) {
+    return R::failure("uncertified",
+                      "barrier point fails the KKT certificate: " +
+                          schedule.kkt.residuals());
+  }
+  return schedule;
 }
 
 }  // namespace ripple::graph

@@ -69,7 +69,8 @@ class GraphPlanner {
 
   /// Solve the per-edge problem. Failure codes: "infeasible" (message names
   /// the violated constraint), "too_many_paths" (per-path budget set not
-  /// enumerable), or a barrier failure code.
+  /// enumerable), "uncertified" (the barrier point fails the KKT
+  /// certificate; message gives the residuals), or a barrier failure code.
   util::Result<GraphSchedule> solve(Cycles tau0, Cycles deadline) const;
 
   /// The DAG problem in x-space (per-edge + per-path constraints), exposed

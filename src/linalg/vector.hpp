@@ -16,20 +16,6 @@ using Vector = std::vector<double>;
 
 inline Vector zeros(std::size_t n) { return Vector(n, 0.0); }
 
-inline Vector add(const Vector& a, const Vector& b) {
-  RIPPLE_REQUIRE(a.size() == b.size(), "vector size mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
-inline Vector subtract(const Vector& a, const Vector& b) {
-  RIPPLE_REQUIRE(a.size() == b.size(), "vector size mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
 inline Vector scale(const Vector& a, double s) {
   Vector out(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] * s;
@@ -48,8 +34,6 @@ inline double dot(const Vector& a, const Vector& b) {
   for (std::size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
   return sum;
 }
-
-inline double norm2(const Vector& a) { return std::sqrt(dot(a, a)); }
 
 inline double norm_inf(const Vector& a) {
   double m = 0.0;

@@ -22,7 +22,7 @@ inline constexpr std::string_view kSpanNames[] = {
     "block",          // monolithic sim: one block run (sim domain)
     "service",        // runtime executor: one consuming firing (sim domain)
     "trial",          // trial_runner: one simulated trial (host domain)
-    "cell_solve",     // sweep: one (tau0, D) cell solve (host domain)
+    "row_solve",      // sweep: one tau0 row of (tau0, D) cells (host domain)
     "service.batch",  // service worker: one ingest batch execution (host)
     "control.replan", // controller: one enforced-waits re-solve (host)
     "journal.commit", // arrival journal: one group-commit write (host)

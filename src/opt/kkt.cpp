@@ -2,11 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 #include "linalg/solve.hpp"
 #include "util/assert.hpp"
 
 namespace ripple::opt {
+
+std::string KktReport::residuals() const {
+  char buffer[96];
+  std::snprintf(buffer, sizeof(buffer),
+                "primal %.3e, stationarity %.3e, min multiplier %.3e",
+                primal_infeasibility, stationarity_residual, min_multiplier);
+  return buffer;
+}
 
 namespace {
 

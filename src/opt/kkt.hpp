@@ -39,6 +39,10 @@ struct KktReport {
            stationarity_residual <= stationarity_tolerance &&
            min_multiplier >= -multiplier_tolerance;
   }
+
+  /// "primal 1.000e-12, stationarity 2.000e-15, min multiplier 0.000e+00",
+  /// for failure messages.
+  std::string residuals() const;
 };
 
 /// Evaluate KKT conditions at `x`. `active_tolerance` is the slack threshold

@@ -10,10 +10,6 @@ double ConvexProblem::infeasibility(const linalg::Vector& x) const {
   return std::max(0.0, -min_slack(x));
 }
 
-bool ConvexProblem::is_feasible(const linalg::Vector& x, double tolerance) const {
-  return min_slack(x) >= -tolerance;
-}
-
 double ConvexProblem::min_slack(const linalg::Vector& x) const {
   RIPPLE_REQUIRE(x.size() == dimension(), "point dimension mismatch");
   double smallest = kInf;

@@ -44,9 +44,6 @@ struct ConvexProblem {
   /// Max violation of any constraint/bound at x (0 means feasible).
   double infeasibility(const linalg::Vector& x) const;
 
-  /// True if x satisfies everything within `tolerance`.
-  bool is_feasible(const linalg::Vector& x, double tolerance = 1e-9) const;
-
   /// Smallest slack across constraints and bounds (negative = infeasible).
   double min_slack(const linalg::Vector& x) const;
 };

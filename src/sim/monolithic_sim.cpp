@@ -36,11 +36,18 @@ void simulate_monolithic_into(const sdf::PipelineSpec& pipeline,
   std::vector<Cycles> block_arrivals;
   block_arrivals.reserve(static_cast<std::size_t>(config.block_size));
 
-  // Per-item surviving-descendant counts while walking the block through the
-  // stages; index parallel to block_arrivals.
-  std::vector<std::uint64_t> descendant_counts;
-  // One stage's gain draws, one per surviving descendant in root order.
+  // The block's live roots while walking it through the stages, in root
+  // order: a root's index into block_arrivals and its surviving-descendant
+  // count, never 0. A root whose descendants all died is dropped for good.
+  struct LiveRoot {
+    std::size_t root;
+    std::uint64_t count;
+  };
+  std::vector<LiveRoot> live;
+  // One stage's gain draws, one per surviving descendant in root order, and
+  // their running sums (prefix[k] = draws[0] + ... + draws[k - 1]).
   std::vector<dist::OutputCount> draws;
+  std::vector<std::uint64_t> prefix;
 
 #if RIPPLE_OBS
   // Blocks run back-to-back on one server, so a single dedicated track
@@ -68,7 +75,12 @@ void simulate_monolithic_into(const sdf::PipelineSpec& pipeline,
     }
 #endif
 
-    descendant_counts.assign(m, 1);
+    // Stage 0's draws fill the live roots; a lone stage is the sink, where
+    // every root emits itself.
+    live.clear();
+    if (n == 1) {
+      for (std::size_t j = 0; j < m; ++j) live.push_back({j, 1});
+    }
     std::uint64_t stage_items = m;
     for (NodeIndex i = 0; i < n && stage_items > 0; ++i) {
       NodeMetrics& node = metrics.nodes[i];
@@ -82,20 +94,34 @@ void simulate_monolithic_into(const sdf::PipelineSpec& pipeline,
       service += stage_service;
 
       if (i + 1 == n) break;  // sink: items exit, no further expansion
-      // One batched draw for the whole stage, then each root's outputs are
-      // the sum over its descendants' run of draws: the same RNG stream as
-      // drawing root by root.
+      // One batched draw for the whole stage, then each live root's outputs
+      // are the sum over its descendants' run of draws: the same RNG stream
+      // as drawing root by root.
       draws.resize(stage_items);
       pipeline.node(i).gain->sample_n(rng, draws.data(), stage_items);
-      const dist::OutputCount* draw = draws.data();
       std::uint64_t produced = 0;
-      for (std::size_t j = 0; j < m; ++j) {
-        std::uint64_t outputs = 0;
-        for (std::uint64_t c = 0; c < descendant_counts[j]; ++c) {
-          outputs += *draw++;
+      if (i == 0) {
+        // Each root is its own lone descendant: its draw is its count.
+        for (std::size_t j = 0; j < m; ++j) {
+          if (draws[j] != 0) live.push_back({j, draws[j]});
+          produced += draws[j];
         }
-        descendant_counts[j] = outputs;
-        produced += outputs;
+      } else {
+        prefix.resize(stage_items + 1);
+        prefix[0] = 0;
+        for (std::size_t k = 0; k < stage_items; ++k) {
+          prefix[k + 1] = prefix[k] + draws[k];
+        }
+        std::size_t first = 0;  // the root's first descendant in draws
+        std::size_t kept = 0;
+        for (const LiveRoot& root : live) {
+          const std::size_t next = first + root.count;
+          const std::uint64_t outputs = prefix[next] - prefix[first];
+          first = next;
+          if (outputs != 0) live[kept++] = {root.root, outputs};
+        }
+        live.resize(kept);
+        produced = prefix[stage_items];
       }
       node.items_produced += produced;
       stage_items = produced;
@@ -105,14 +131,12 @@ void simulate_monolithic_into(const sdf::PipelineSpec& pipeline,
     server_free = finish;
     metrics.makespan = std::max(metrics.makespan, finish);
 
-    for (std::size_t j = 0; j < m; ++j) {
-      if (descendant_counts[j] == 0) {
-        ++metrics.inputs_on_time;  // vacuously on time: nothing to emit
-        continue;
-      }
-      const Cycles latency = finish - block_arrivals[j];
-      for (std::uint64_t c = 0; c < descendant_counts[j]; ++c) {
-        ++metrics.sink_outputs;
+    // Dead roots are vacuously on time: nothing to emit.
+    metrics.inputs_on_time += m - live.size();
+    for (const LiveRoot& root : live) {
+      const Cycles latency = finish - block_arrivals[root.root];
+      metrics.sink_outputs += root.count;
+      for (std::uint64_t c = 0; c < root.count; ++c) {
         metrics.record_latency(latency);
       }
       if (config.deadline > 0.0 && latency > config.deadline * (1.0 + 1e-12)) {
@@ -135,8 +159,12 @@ void simulate_monolithic_into(const sdf::PipelineSpec& pipeline,
     block_arrivals.clear();
   };
 
+  // Fixed-rate streams never touch the RNG, so their gap can be hoisted out
+  // of the per-arrival virtual dispatch without changing any draw.
+  const Cycles fixed_gap = arrival_process.fixed_interarrival();
   while (generated < config.input_count) {
-    clock += arrival_process.next_interarrival(rng);
+    clock += fixed_gap > 0.0 ? fixed_gap
+                             : arrival_process.next_interarrival(rng);
     ++generated;
     ++metrics.inputs_arrived;
     block_arrivals.push_back(clock);

@@ -304,9 +304,11 @@ TEST_P(MonolithicRandom, SolverIsExactOnRandomPipelines) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MonolithicRandom, ::testing::Range(0, 20));
 
-/// Every deadline of a tau0 row against the brute-force scan: random
-/// pipelines, four (b, S) configs, tau0 from below the stability floor up,
-/// and deadlines out of order, repeated, and too short for any block.
+/// Every deadline of a tau0 row against the brute-force scan, through
+/// solve_row() over the whole row and through solve() one deadline at a
+/// time: random pipelines, four (b, S) configs, tau0 from below the
+/// stability floor up, and deadlines out of order, repeated, and too short
+/// for any block.
 TEST(MonolithicRow, MatchesScanOnGrids) {
   const MonolithicConfig configs[] = {{1.0, 1.0}, {2.0, 1.0}, {1.0, 1.5},
                                       {3.0, 1.7}};
@@ -326,12 +328,18 @@ TEST(MonolithicRow, MatchesScanOnGrids) {
         for (const double scale : deadline_scales) {
           deadlines.push_back(tau0 * scale);
         }
-        for (const double deadline : deadlines) {
+        // The whole row at once: out of order, with repeats.
+        const std::vector<std::int64_t> row =
+            strategy.solve_row(tau0, deadlines);
+        ASSERT_EQ(row.size(), deadlines.size());
+        for (std::size_t d = 0; d < deadlines.size(); ++d) {
+          const double deadline = deadlines[d];
           SCOPED_TRACE("seed " + std::to_string(seed) + " b " +
                        std::to_string(config.b) + " S " +
                        std::to_string(config.S) + " tau0 " +
                        std::to_string(tau0) + " D " + std::to_string(deadline));
           const std::int64_t want = brute_force_block(strategy, tau0, deadline);
+          EXPECT_EQ(row[d], want);
           auto solved = strategy.solve(tau0, deadline);
           EXPECT_EQ(strategy.is_feasible(tau0, deadline), want != 0);
           if (want == 0) {

@@ -128,6 +128,16 @@ ConvexProblem box_only(linalg::Vector lo, linalg::Vector hi) {
   return p;
 }
 
+TEST(Kkt, ResidualsNameEveryResidual) {
+  KktReport report;
+  report.primal_infeasibility = 1e-12;
+  report.stationarity_residual = 2.5e-15;
+  report.min_multiplier = -3e-4;
+  EXPECT_EQ(report.residuals(),
+            "primal 1.000e-12, stationarity 2.500e-15, min multiplier "
+            "-3.000e-04");
+}
+
 TEST(ProblemHelpers, MinSlackAndFeasibility) {
   ConvexProblem p = box_only({0.0, 0.0}, {1.0, 1.0});
   LinearInequality c;
@@ -135,16 +145,16 @@ TEST(ProblemHelpers, MinSlackAndFeasibility) {
   c.rhs = 1.5;
   p.constraints.push_back(c);
 
-  EXPECT_TRUE(p.is_feasible({0.5, 0.5}));
   EXPECT_NEAR(p.min_slack({0.5, 0.5}), 0.5, 1e-12);
-  EXPECT_FALSE(p.is_feasible({0.9, 0.9}));       // violates half-space
+  EXPECT_EQ(p.infeasibility({0.5, 0.5}), 0.0);
+  EXPECT_NEAR(p.min_slack({0.9, 0.9}), -0.3, 1e-12);  // violates half-space
   EXPECT_NEAR(p.infeasibility({0.9, 0.9}), 0.3, 1e-12);
-  EXPECT_FALSE(p.is_feasible({-0.1, 0.5}));      // violates lower bound
+  EXPECT_NEAR(p.infeasibility({-0.1, 0.5}), 0.1, 1e-12);  // lower bound
 }
 
 TEST(ProblemHelpers, DimensionMismatchThrows) {
   const ConvexProblem p = box_only({0.0, 0.0}, {1.0, 1.0});
-  EXPECT_THROW((void)p.is_feasible({0.5}), std::logic_error);
+  EXPECT_THROW((void)p.min_slack({0.5}), std::logic_error);
 }
 
 }  // namespace
